@@ -28,7 +28,7 @@ from .current import (
 )
 from .errors import LindcurError, PositivityLost, PositivityViolation
 from .lattice import ChainSpec, build_chain
-from .linalg import hermitian_eigensystem, unvec, vec
+from .linalg import hermitian_eigensystem
 from .lindblad import (
     Trajectory,
     build_generator,
@@ -36,7 +36,7 @@ from .lindblad import (
     pre_lindblad_generator,
     steady_state,
 )
-from .reservoir import WhiteNoise, decay_rate, gplus_table
+from .reservoir import WhiteNoise, decay_rate, gplus_table, resolution_bound
 from .spectral import bohr_frequencies, decompose, default_freq_tol
 
 POINTWISE_SUITES = ("oracle", "prelindblad", "all")
@@ -98,7 +98,6 @@ def _write_csvs(wb: Workbench, traj: Trajectory, out_dir: str) -> None:
     cfg = wb.cfg
     prec = cfg.output.precision
     reports = continuity_report(wb.generator, wb.ops, wb.engine, traj)
-    M = wb.generator.full_matrix()
     os.makedirs(out_dir, exist_ok=True)
 
     def fmt(x: float) -> str:
@@ -106,10 +105,7 @@ def _write_csvs(wb: Workbench, traj: Trajectory, out_dir: str) -> None:
 
     with open(os.path.join(out_dir, "density.csv"), "w", encoding="utf-8") as fh:
         fh.write("time,site,n,dn_dt,lstar_n,residual_raw,residual_corrected\n")
-        for rep, rho in zip(reports, traj.states):
-            dn_dt = np.real(
-                np.diag(unvec(M @ vec(rho), wb.generator.dimension))
-            )
+        for rep in reports:
             for r in range(wb.ops.n_sites):
                 fh.write(
                     ",".join(
@@ -117,7 +113,7 @@ def _write_csvs(wb: Workbench, traj: Trajectory, out_dir: str) -> None:
                             fmt(rep.time),
                             str(r),
                             fmt(rep.site_density[r]),
-                            fmt(dn_dt[r]),
+                            fmt(rep.dn_dt[r]),
                             fmt(rep.site_lstar_density[r]),
                             fmt(rep.residual_raw[r]),
                             fmt(rep.residual_corrected[r]),
@@ -198,11 +194,7 @@ def _continuity_checks(wb: Workbench) -> list:
 
 
 def _oracle_quadrature_dt(wb: Workbench) -> float:
-    w_max = float(np.max(np.abs(wb.spectrum.frequencies)))
-    bound = 1.0 / decay_rate(wb.kernel)
-    if w_max > 0:
-        bound = min(bound, np.pi / w_max)
-    return bound / 80.0
+    return resolution_bound(wb.kernel, wb.spectrum) / 4.0
 
 
 def _oracle_checks(wb: Workbench) -> list:

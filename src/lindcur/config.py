@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .lindblad import validate_density
 from .reservoir import Exponential, Tabulated, WhiteNoise, load_tabulated_csv
 
 BATH_TYPES = ("exponential", "white", "tabulated")
@@ -275,8 +276,20 @@ def make_kernel(bath: BathConfig):
     return load_tabulated_csv(bath.file)
 
 
+def _state_block(raw) -> np.ndarray:
+    """A state-file matrix block; every entry must be a JSON number."""
+    block = np.array(raw, dtype=object)
+    if not all(type(x) in (int, float) for x in block.flat):
+        raise ValueError("state entries must be numbers in a rectangular array")
+    return block.astype(float)
+
+
 def resolve_initial_state(cfg: Config, eig) -> np.ndarray:
-    """Density matrix named by run.initial_state."""
+    """Density matrix named by run.initial_state.
+
+    A file: state that is unreadable, not numeric, or not a finite,
+    Hermitian, unit-trace N x N matrix raises ValidationError.
+    """
     N = cfg.model.n_sites
     state = cfg.run.initial_state
     if state == "mixed":
@@ -293,12 +306,15 @@ def resolve_initial_state(cfg: Config, eig) -> np.ndarray:
         rho = np.zeros((N, N), dtype=complex)
         rho[k, k] = 1.0
         return rho
-    with open(state[5:], encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "re" not in data:
-        raise ValidationError('run.initial_state: state file needs "re" (and "im")')
-    re = np.array(data["re"], dtype=float)
-    im = np.array(data["im"], dtype=float) if "im" in data else np.zeros_like(re)
+    try:
+        with open(state[5:], encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict) or "re" not in data:
+            raise ValidationError('run.initial_state: state file needs "re" (and "im")')
+        re = _state_block(data["re"])
+        im = _state_block(data["im"]) if "im" in data else np.zeros_like(re)
+    except (OSError, OverflowError, ValueError) as exc:
+        raise ValidationError(f"run.initial_state: {exc}") from None
     if im.shape != re.shape:
         raise ValidationError(
             f"run.initial_state: im shape {im.shape} differs from re {re.shape}"
@@ -308,4 +324,7 @@ def resolve_initial_state(cfg: Config, eig) -> np.ndarray:
         raise ValidationError(
             f"run.initial_state: state shape {rho.shape} vs {N} sites"
         )
-    return rho
+    try:
+        return validate_density(rho, N)
+    except ValueError as exc:
+        raise ValidationError(f"run.initial_state: {exc}") from None

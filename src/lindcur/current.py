@@ -23,29 +23,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, PointwiseUndefined, StepTooCoarse
+from .errors import DimensionMismatch, IndexOutOfRange
 from .lattice import LatticeOperators, discrete_divergence, expectation_report
 from .linalg import EigenSystem, unvec, vec
-from .lindblad import LindbladGenerator, Trajectory, apply_adjoint, triangle_convolution
-from .reservoir import (
-    CorrelationKernel,
-    HalfFourierTable,
-    WhiteNoise,
-    decay_rate,
-    sample_kernel,
+from .lindblad import (
+    LindbladGenerator,
+    Trajectory,
+    apply_adjoint,
+    sampled_window,
+    triangle_convolution,
 )
-from .spectral import BohrSpectrum, SpectralOperator, decompose, interaction_picture_batch
+from .reservoir import CorrelationKernel, HalfFourierTable
+from .spectral import BohrSpectrum, SpectralOperator, decompose
 
 ORACLE_HORIZON = 20.0
-ORACLE_SAFETY = 20.0
 
 
 @dataclass(frozen=True)
 class CurrentReport:
-    """Densities, currents, sources, and continuity residuals at one time."""
+    """Densities, currents, sources, and continuity residuals at one time.
+
+    dn_dt is the exact time-derivative of site_density, read off the generator.
+    """
 
     time: float
     site_density: np.ndarray
+    dn_dt: np.ndarray
     site_lstar_density: np.ndarray
     bond_j_ham: np.ndarray
     bond_j_diss: np.ndarray
@@ -256,45 +259,29 @@ def jd_finite_time_oracle(
     phase-integrated spectral sum, Z_b(s) = sum_{w != 0} J_w
     (exp(i w s) - 1)/(i w), plus the s-linear zero-bin term only when
     include_zero_mode is set.  With the flag off the values approach
-    jd_expectation as t grows, with a 1/t envelope.
+    jd_expectation as t grows, with a 1/t envelope.  The input checks of
+    sampled_window apply; t must also reach the averaging horizon.
     """
-    if isinstance(kernel, WhiteNoise):
-        raise PointwiseUndefined("the time-average oracle needs a pointwise kernel")
-    if t <= 0 or dt <= 0:
-        raise ValueError("t and dt must be positive")
     rho = np.asarray(rho, dtype=complex)
     N = eig.dimension
     if rho.shape != (N, N):
         raise DimensionMismatch(f"state shape {rho.shape} vs dimension {N}")
+    coupling = decompose(ops.v, eig, spectrum)
+    s, h, g, V_t = sampled_window(coupling, kernel, t, dt)
     freqs = spectrum.frequencies
-    tol = spectrum.bin_tolerance
-    nonzero = np.abs(freqs) > tol
-    w_max = float(np.max(np.abs(freqs)))
-    bound = 1.0 / decay_rate(kernel)
-    if w_max > 0:
-        bound = min(bound, np.pi / w_max)
-    bound /= ORACLE_SAFETY
-    if dt > bound:
-        raise StepTooCoarse(f"dt={dt:.3e} exceeds the resolution bound {bound:.3e}")
+    nonzero = np.abs(freqs) > spectrum.bin_tolerance
     if np.any(nonzero):
         horizon = ORACLE_HORIZON / float(np.min(np.abs(freqs[nonzero])))
         if t < horizon:
             raise ValueError(
                 f"t={t:.3g} is below the averaging horizon {horizon:.3g}"
             )
-
-    n = max(2, int(np.ceil(t / dt)))
-    h = t / n
-    s = h * np.arange(n + 1)
-    g = sample_kernel(kernel, s)
-    coupling = decompose(ops.v, eig, spectrum)
-    V_t = interaction_picture_batch(coupling, s)
     C = triangle_convolution(g, V_t, h)
     rho_en = eig.to_energy_basis(rho)
     D = np.einsum("tij,jk,tkl->til", C, rho_en, V_t)
     D -= np.einsum("tij,tjk,kl->til", V_t, C, rho_en)
 
-    zfac = np.zeros((len(freqs), n + 1), dtype=complex)
+    zfac = np.zeros((len(freqs), len(s)), dtype=complex)
     for a, w in enumerate(freqs):
         if nonzero[a]:
             zfac[a] = (np.exp(1j * w * s) - 1.0) / (1j * w)
@@ -351,7 +338,8 @@ def continuity_report(
         densities, currents = expectation_report(ops, rho)
         lstar = np.array([np.trace(rho @ L).real for L in sources])
         drho = unvec(M @ vec(rho), G.dimension)
-        dn_dt = np.real(np.diag(drho))
+        # astype copies: a stored view would keep all of drho alive
+        dn_dt = np.real(np.diag(drho)).astype(float)
         j_diss = np.array([np.trace(rho @ O).real for O in obs])
         raw = dn_dt + np.array(discrete_divergence(currents))
         corrected = dn_dt + np.array(discrete_divergence(currents + j_diss))
@@ -359,6 +347,7 @@ def continuity_report(
             CurrentReport(
                 time=float(time),
                 site_density=densities,
+                dn_dt=dn_dt,
                 site_lstar_density=lstar,
                 bond_j_ham=currents,
                 bond_j_diss=j_diss,

@@ -136,20 +136,14 @@ def superop_from_action(f, N: int) -> SuperOperator:
     return SuperOperator(N, M)
 
 
-def _transpose_permutation(N: int) -> np.ndarray:
-    T = np.zeros((N * N, N * N))
-    for i in range(N):
-        for j in range(N):
-            T[j + i * N, i + j * N] = 1.0
-    return T
-
-
 def superop_adjoint(S: SuperOperator) -> SuperOperator:
     """Adjoint under the trace pairing: tr(A . S(B)) = tr(adjoint(S)(A) . B).
 
     Note this pairing carries no complex conjugation, so the adjoint matrix
     is T @ S.T @ T with T the transpose permutation, and the double adjoint
-    is the identity exactly.
+    is the identity exactly.  That product is an index permutation of the
+    matrix viewed as an (N, N, N, N) array, computed here without forming T.
     """
-    T = _transpose_permutation(S.dimension)
-    return SuperOperator(S.dimension, T @ S.matrix.T @ T)
+    N = S.dimension
+    adj = S.matrix.reshape(N, N, N, N).transpose(3, 2, 1, 0).reshape(N * N, N * N)
+    return SuperOperator(N, adj)

@@ -7,9 +7,15 @@ coupling component V_w (rotated back to the site basis) it adds
     g_w (V_w^dag rho V_w - V_w V_w^dag rho)
     + conj(g_w) (V_w^dag rho V_w - rho V_w V_w^dag)
 
-summed over bins in ascending order.  Trace preservation, Hermiticity
-preservation, and unitality of the adjoint are exact consequences of this
-form and are enforced as tested invariants rather than assumptions.
+with g_w = gplus(w).  Summed over bins this is the standard form
+
+    sum_w gamma_w V_w^dag rho V_w - K rho - rho K^dag,
+    gamma_w = 2 Re g_w,   K = sum_w g_w V_w V_w^dag,
+
+which build_generator assembles in one pass over all bins.  Trace
+preservation, Hermiticity preservation, and unitality of the adjoint are
+exact consequences of this form and are enforced as tested invariants
+rather than assumptions.
 """
 from __future__ import annotations
 
@@ -18,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.signal
 
 from .errors import (
@@ -37,7 +42,7 @@ from .reservoir import (
     CorrelationKernel,
     HalfFourierTable,
     WhiteNoise,
-    decay_rate,
+    resolution_bound,
     sample_kernel,
 )
 from .spectral import BohrSpectrum, SpectralOperator, interaction_picture_batch
@@ -46,7 +51,6 @@ logger = logging.getLogger(__name__)
 
 STABILITY_BOUND = 0.1
 KERNEL_CUTOFF = 1e-10
-QUADRATURE_SAFETY = 20.0
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,8 @@ def validate_density(rho: np.ndarray, n: int | None = None) -> np.ndarray:
         raise DimensionMismatch(f"expected a square matrix, got {rho.shape}")
     if n is not None and rho.shape[0] != n:
         raise DimensionMismatch(f"state shape {rho.shape} vs dimension {n}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("state has non-finite entries")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
         raise ValueError("state is not Hermitian within 1e-10")
     if abs(np.trace(rho) - 1.0) > 1e-10:
@@ -127,15 +133,13 @@ def build_generator(
     Hmat = H.matrix()
     ident = np.eye(N, dtype=complex)
     ham = -1j * (kron_map(Hmat, ident) - kron_map(ident, Hmat))
-    diss = np.zeros((N * N, N * N), dtype=complex)
-    for k in range(len(spectrum)):
-        Vw = U @ V.components[k] @ U.conj().T
-        if np.max(np.abs(Vw)) == 0.0:
-            continue
-        Vd = Vw.conj().T
-        g = rates[k]
-        diss += g * (kron_map(Vd, Vw) - kron_map(Vw @ Vd, ident))
-        diss += np.conj(g) * (kron_map(Vd, Vw) - kron_map(ident, Vw @ Vd))
+    Vs = U @ V.components @ U.conj().T
+    K = np.einsum("k,kij,klj->il", rates, Vs, Vs.conj())
+    # entry [a, c, b, d] is the coefficient of rho[d, b] in out[c, a]
+    jump = np.einsum(
+        "k,kba,kdc->acbd", 2.0 * rates.real, Vs, Vs.conj(), optimize=True
+    ).reshape(N * N, N * N)
+    diss = jump - kron_map(K, ident) - kron_map(ident, K.conj().T)
     dissipator = SuperOperator(N, diss)
     return LindbladGenerator(
         dimension=N,
@@ -236,8 +240,7 @@ def steady_state(G: LindbladGenerator) -> np.ndarray:
 
     The kernel must be one-dimensional (singular values <= 1e-10 counted);
     otherwise DegenerateKernel is raised.  The kernel vector is Hermitized
-    and trace-normalized, its residual is verified, and a matrix-exponential
-    consistency check is logged.
+    and trace-normalized, and its residual and positivity are verified.
     """
     M = G.full_matrix()
     try:
@@ -270,26 +273,28 @@ def steady_state(G: LindbladGenerator) -> np.ndarray:
     low = float(np.min(np.linalg.eigvalsh(rho)))
     if low < -1e-9:
         raise PositivityLost(f"stationary state eigenvalue {low:.3e}")
-    # exponential-map consistency diagnostic on the slowest scale
-    eigvals = np.linalg.eigvals(M)
-    nonzero = eigvals[np.abs(eigvals) > KERNEL_CUTOFF]
-    if len(nonzero):
-        gap = float(np.min(np.abs(nonzero.real)))
-        horizon = 1.0 / max(gap, 1e-6)
-        drift = float(
-            np.max(np.abs(scipy.linalg.expm(M * horizon) @ vec(rho) - vec(rho)))
-        )
-        logger.info(
-            "steady_state: expm drift %.3e over horizon %.3g", drift, horizon
-        )
     return rho
 
 
-def _quadrature_bound(k: CorrelationKernel, w_max: float) -> float:
-    bound = 1.0 / decay_rate(k)
-    if w_max > 0:
-        bound = min(bound, np.pi / w_max)
-    return bound / QUADRATURE_SAFETY
+def sampled_window(V: SpectralOperator, k: CorrelationKernel, t: float, dt: float):
+    """Grid s of n = max(2, ceil(t/dt)) steps h over [0, t], the kernel g
+    on it, and the energy-basis coupling V_s there: returns (s, h, g, V_s).
+
+    Shared by the finite-window quadratures; raises PointwiseUndefined,
+    ValueError (t or dt not positive) or StepTooCoarse (dt above
+    resolution_bound).
+    """
+    if isinstance(k, WhiteNoise):
+        raise PointwiseUndefined("finite-window quadrature needs a pointwise kernel")
+    if t <= 0 or dt <= 0:
+        raise ValueError("the window length and dt must be positive")
+    bound = resolution_bound(k, V.spectrum)
+    if dt > bound:
+        raise StepTooCoarse(f"dt={dt:.3e} exceeds the resolution bound {bound:.3e}")
+    n = max(2, math.ceil(t / dt))
+    h = t / n
+    s = h * np.arange(n + 1)
+    return s, h, sample_kernel(k, s), interaction_picture_batch(V, s)
 
 
 def triangle_convolution(g: np.ndarray, V: np.ndarray, h: float) -> np.ndarray:
@@ -327,24 +332,12 @@ def pre_lindblad_generator(
     trapezoidal convolution, the outer a trapezoid over the window; as the
     window grows this map approaches the secular dissipator like 1/delta.
     """
-    if isinstance(k, WhiteNoise):
-        raise PointwiseUndefined("the finite-window map needs a pointwise kernel")
-    if delta <= 0 or dt <= 0:
-        raise ValueError("delta and dt must be positive")
-    w_max = float(np.max(np.abs(V.spectrum.frequencies)))
-    bound = _quadrature_bound(k, w_max)
-    if dt > bound:
-        raise StepTooCoarse(f"dt={dt:.3e} exceeds the resolution bound {bound:.3e}")
-    n = max(2, math.ceil(delta / dt))
-    h = delta / n
-    s = h * np.arange(n + 1)
-    g = sample_kernel(k, s)
+    s, h, g, V_en = sampled_window(V, k, delta, dt)
     U = V.eig.basis
-    V_en = interaction_picture_batch(V, s)
     V_t = np.einsum("ab,sbc,dc->sad", U, V_en, U.conj())
     C = triangle_convolution(g, V_t, h)
     Cbar = triangle_convolution(np.conj(g), V_t, h)
-    weights = np.full(n + 1, h)
+    weights = np.full(len(s), h)
     weights[0] = weights[-1] = h / 2.0
     weights /= delta
     N = V.eig.dimension

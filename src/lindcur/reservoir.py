@@ -21,7 +21,7 @@ from .spectral import BohrSpectrum
 
 logger = logging.getLogger(__name__)
 
-SAMPLING_SAFETY = 20.0
+RESOLUTION_SAFETY = 20.0
 
 
 @dataclass(frozen=True)
@@ -163,24 +163,34 @@ class HalfFourierTable:
         return complex(self.values[k])
 
 
+def resolution_bound(k: CorrelationKernel, spectrum: BohrSpectrum) -> float:
+    """Coarsest step that resolves both the kernel and the fastest phase.
+
+    min(1/decay_rate, pi/w_max) / RESOLUTION_SAFETY, with w_max the largest
+    |w| of the spectrum; the phase term drops out when w_max is 0.
+    """
+    bound = 1.0 / decay_rate(k)
+    w_max = float(np.max(np.abs(spectrum.frequencies))) if len(spectrum) else 0.0
+    if w_max > 0:
+        bound = min(bound, np.pi / w_max)
+    return bound / RESOLUTION_SAFETY
+
+
 def gplus_table(k: CorrelationKernel, spectrum: BohrSpectrum) -> HalfFourierTable:
     """Tabulate gplus on every bin of the spectrum.
 
     For tabulated kernels a sampling-coarseness warning is logged when the
-    sample spacing exceeds min(1/decay_rate, pi/w_max) / 20.
+    sample spacing exceeds resolution_bound.
     """
     if isinstance(k, Tabulated):
         spacing = float(np.max(np.diff(k.times)))
-        w_max = float(np.max(np.abs(spectrum.frequencies))) if len(spectrum) else 0.0
-        bound = 1.0 / decay_rate(k)
-        if w_max > 0:
-            bound = min(bound, np.pi / w_max)
-        if spacing > bound / SAMPLING_SAFETY:
+        bound = resolution_bound(k, spectrum)
+        if spacing > bound:
             logger.warning(
                 "tabulated kernel sampled at %.3g, coarser than %.3g; "
                 "transform accuracy may suffer",
                 spacing,
-                bound / SAMPLING_SAFETY,
+                bound,
             )
     values = np.array([half_fourier(k, w) for w in spectrum.frequencies])
     return HalfFourierTable(frequencies=spectrum.frequencies.copy(), values=values)

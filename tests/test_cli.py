@@ -167,6 +167,31 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     assert "ERROR ParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize(
+    "state",
+    [
+        {"re": [[0.5, 0.0], [0.0]]},
+        {"re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.3], [0.3, 0.0]]},
+    ],
+    ids=["ragged", "non_hermitian"],
+)
+def test_malformed_state_file_exits_one(tmp_path, capsys, command, state):
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(state), encoding="utf-8")
+    cfg = _config(
+        tmp_path,
+        {
+            "model": {"n_sites": 2, "coupling": [1.0, -1.0]},
+            "run": {"t_final": 0.1, "initial_state": f"file:{state_path}"},
+        },
+    )
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("ERROR ValidationError: run.initial_state")
+
+
 def test_negative_bath_spectrum_exits_two(tmp_path, capsys):
     taus = np.linspace(0.0, 1.2, 400)
     vals = np.exp(-taus) * np.cos(10.0 * taus)

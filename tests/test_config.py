@@ -242,3 +242,35 @@ def test_resolve_state_file_shape_checked(tmp_path):
     )
     with pytest.raises(ValidationError, match="shape"):
         resolve_initial_state(cfg, _eig_for(cfg))
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ('{"re": [[0.5, 0.0], [0.0, 0.5]]', "Expecting"),
+        ('{"re": [[0.5, 0.0], [0.0]]}', "numbers"),
+        ('{"re": [[0.5, "0"], [0.0, 0.5]]}', "numbers"),
+        ('{"re": [[0.5, {}], [0.0, 0.5]]}', "numbers"),
+        ('{"re": [[0.5, null], [0.0, 0.5]]}', "numbers"),
+        ('{"re": [[0.5, false], [0.0, 0.5]]}', "numbers"),
+        ('{"re": [[0.5, 1e400], [0.0, 0.5]]}', "non-finite"),
+        ('{"re": [[0.5, 1%s], [0.0, 0.5]]}' % ("0" * 400), "too large"),
+        ('{"re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.3], [0.3, 0.0]]}', "Hermitian"),
+        ('{"re": [[1.0, 0.0], [0.0, 1.0]]}', "trace"),
+    ],
+    ids=[
+        "json", "ragged", "string", "object", "null", "bool", "infinite", "huge_int",
+        "non_hermitian", "trace",
+    ],
+)
+def test_resolve_state_file_rejects_malformed_content(tmp_path, content, message):
+    state_path = tmp_path / "state.json"
+    state_path.write_text(content, encoding="utf-8")
+    cfg = parse_config(
+        _write(
+            tmp_path,
+            {"model": {"n_sites": 2}, "run": {"initial_state": f"file:{state_path}"}},
+        )
+    )
+    with pytest.raises(ValidationError, match=f"^run.initial_state: .*{message}"):
+        resolve_initial_state(cfg, _eig_for(cfg))

@@ -24,6 +24,7 @@ from lindcur import (
 )
 from lindcur.current import jd_observables
 from lindcur.lattice import ChainSpec, build_chain
+from lindcur.reservoir import resolution_bound
 
 from conftest import make_bundle, random_density
 
@@ -247,6 +248,10 @@ def test_oracle_input_guards(two_level):
         jd_finite_time_oracle(*args, WhiteNoise(0.1), rho, 5.0, 0.004)
     with pytest.raises(StepTooCoarse):
         jd_finite_time_oracle(*args, two_level.kernel, rho, 5.0, 0.02)
+    bound = resolution_bound(two_level.kernel, two_level.spectrum)
+    with pytest.raises(StepTooCoarse):
+        jd_finite_time_oracle(*args, two_level.kernel, rho, 5.0, np.nextafter(bound, 1.0))
+    jd_finite_time_oracle(*args, two_level.kernel, rho, 5.0, bound)
     with pytest.raises(ValueError):
         jd_finite_time_oracle(*args, two_level.kernel, rho, 1.0, 0.004)  # below horizon
     with pytest.raises(ValueError):
@@ -282,7 +287,10 @@ def test_continuity_report_closes_the_balance(ref4):
     reports = continuity_report(ref4.generator, ref4.ops, ref4.engine, traj)
     assert len(reports) == len(traj.times)
     raw_scale = max(np.max(np.abs(r.residual_raw)) for r in reports)
-    for rep in reports:
+    for rep, rho in zip(reports, traj.states):
+        np.testing.assert_array_equal(
+            rep.dn_dt, np.diag(ref4.generator.apply_full(rho)).real
+        )
         np.testing.assert_allclose(
             rep.residual_raw, rep.site_lstar_density, atol=1e-9
         )

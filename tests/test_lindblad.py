@@ -21,7 +21,9 @@ from lindcur import (
     gplus_table,
     pre_lindblad_generator,
     steady_state,
+    superop_from_action,
 )
+from lindcur.reservoir import resolution_bound
 
 from conftest import make_bundle, random_density, random_hermitian
 
@@ -56,6 +58,37 @@ def test_flat_noise_rate_equation():
         np.testing.assert_allclose(
             np.real(np.diag(drho)), [gamma * (p2 - p1), gamma * (p1 - p2)], atol=1e-14
         )
+
+
+def _per_bin_dissipator(V, gplus, eig):
+    """The module docstring's per-bin sum, assembled from its action."""
+    U = eig.basis
+    tol = V.spectrum.bin_tolerance
+    terms = [
+        (gplus.value_at(w, tol), U @ c @ U.conj().T)
+        for w, c in zip(V.spectrum.frequencies, V.components)
+    ]
+
+    def action(rho):
+        out = np.zeros_like(rho)
+        for g, Vw in terms:
+            Vd = Vw.conj().T
+            out += g * (Vd @ rho @ Vw - Vw @ Vd @ rho)
+            out += np.conj(g) * (Vd @ rho @ Vw - rho @ Vw @ Vd)
+        return out
+
+    return superop_from_action(action, eig.dimension).matrix
+
+
+@pytest.mark.parametrize("model", ["asym4", "ref4", "white_two_level"])
+def test_closed_form_matches_per_bin_sum(request, model):
+    if model == "white_two_level":
+        bundle = make_bundle(2, [1.0, -1.0], hopping=5.0, kernel=WhiteNoise(0.3))
+    else:
+        bundle = request.getfixturevalue(model)
+    reference = _per_bin_dissipator(bundle.engine.coupling, bundle.gplus, bundle.eig)
+    diss = bundle.generator.dissipator.matrix
+    assert np.max(np.abs(diss - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def test_identity_coupling_gives_zero_dissipator(ref4):
@@ -251,8 +284,13 @@ def test_prelindblad_rejects_flat_noise(two_level):
 
 
 def test_prelindblad_rejects_coarse_grid(two_level):
+    V = two_level.engine.coupling
     with pytest.raises(StepTooCoarse):
-        pre_lindblad_generator(two_level.engine.coupling, two_level.kernel, 25.0, 0.1)
+        pre_lindblad_generator(V, two_level.kernel, 25.0, 0.1)
+    bound = resolution_bound(two_level.kernel, two_level.spectrum)
+    with pytest.raises(StepTooCoarse):
+        pre_lindblad_generator(V, two_level.kernel, 1.0, np.nextafter(bound, 1.0))
+    pre_lindblad_generator(V, two_level.kernel, 1.0, bound)
 
 
 def test_prelindblad_rejects_bad_window(two_level):
