@@ -9,8 +9,12 @@ J_D per bond: the correction whose divergence cancels the dissipative
 source.  This module builds J_D three independent ways and checks them
 against each other:
 
-  * a spectral sum over resonant quadruples of Bohr frequencies
-    (jd_expectation, and its linear-form matrix jd_observable),
+  * the resonant spectral sum in closed form (jd_observables, with
+    jd_expectation = tr(rho O_b)).  Each energy-basis matrix entry lies in
+    exactly one Bohr bin, so the sum over resonant bin quadruples becomes
+    a sum over index chains (i, j, k, l) of the energy basis, weighted by
+    two elementwise selection rules on the bins of the four factors and
+    contracted in two einsums,
   * the cumulative one-dimensional inversion of the source
     (jd_cumulative_1d),
   * a finite-time-average quadrature that knows nothing about the secular
@@ -24,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange
-from .lattice import LatticeOperators, discrete_divergence, expectation_report
-from .linalg import EigenSystem, unvec, vec
+from .lattice import LatticeOperators, discrete_divergence
+from .linalg import EigenSystem
 from .lindblad import (
     LindbladGenerator,
     Trajectory,
@@ -60,13 +64,15 @@ class CurrentReport:
 class JDEngine:
     """Precomputed spectral data for the correction-current sum.
 
-    Quadruples are stored as index tuples (a_J, a_1, a_2, a_rho) into the
-    binned frequencies.  The first family satisfies w_J + w_1 - w_2 = 0 with
-    w_rho = 0 and enters with a plus sign; the second satisfies w_1 = w_2
-    with w_rho = -w_J and enters with a minus.  Bins with |w_J| at or below
-    the matching tolerance are excluded everywhere: their would-be
-    contribution is divergence-free on an open chain, so the conservation
-    identity does not miss them.
+    The resonant bin quadruples are listed as index tuples
+    (a_J, a_1, a_2, a_rho) into the binned frequencies.  The first family
+    satisfies w_J + w_1 - w_2 = 0 with w_rho = 0 and enters with a plus
+    sign; the second satisfies w_1 = w_2 with w_rho = -w_J and enters with
+    a minus.  Bins with |w_J| at or below the matching tolerance are
+    excluded everywhere: their would-be contribution is divergence-free on
+    an open chain, so the conservation identity does not miss them.
+    jd_observables applies the same two rules elementwise over index
+    chains; the lists record which quadruples resonate and how many.
     """
 
     bond_currents: tuple
@@ -85,18 +91,69 @@ class JDEngine:
         return len(self.bond_currents)
 
 
+def _near(w: np.ndarray, targets: np.ndarray, tol: float):
+    """(row, col) pairs with w[col] within 2 tol of targets[row].
+
+    w must be sorted.  The window is twice the selection tolerance so that
+    rounding in the caller's exact test can never fall outside it; rows
+    come out in order, and columns ascend within a row.
+    """
+    lo = np.searchsorted(w, targets - 2.0 * tol, side="left")
+    hi = np.searchsorted(w, targets + 2.0 * tol, side="right")
+    counts = hi - lo
+    row = np.repeat(np.arange(len(targets)), counts)
+    offsets = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return row, np.arange(int(counts.sum())) + offsets
+
+
 def _resonant_quadruples(spectrum: BohrSpectrum):
+    """Both quadruple families, as tuples in row-major order over the bins.
+
+    A sorted search proposes the candidates; the selection rules are then
+    applied with the same float expressions as their definition.
+    """
     w = spectrum.frequencies
     tol = spectrum.bin_tolerance
-    J, A, B, R = np.meshgrid(w, w, w, w, indexing="ij", sparse=True)
-    nonsingular = np.abs(J) > tol
-    first = nonsingular & (np.abs(J + A - B) <= tol) & (np.abs(R) <= tol)
-    second = nonsingular & (np.abs(A - B) <= tol) & (np.abs(J + R) <= tol)
+    n = len(w)
+    nonsingular = np.flatnonzero(np.abs(w) > tol)
+    zero = np.flatnonzero(np.abs(w) <= tol)
 
-    def to_tuples(mask):
-        return tuple(tuple(int(i) for i in q) for q in np.argwhere(mask))
+    # first family: w_2 = w_J + w_1 for every (a_J, a_1), any zero a_rho
+    aJ = np.repeat(nonsingular, n)
+    a1 = np.tile(np.arange(n), len(nonsingular))
+    row, a2 = _near(w, w[aJ] + w[a1], tol)
+    aJ, a1 = aJ[row], a1[row]
+    keep = np.abs(w[aJ] + w[a1] - w[a2]) <= tol
+    aJ, a1, a2 = aJ[keep], a1[keep], a2[keep]
+    first = np.stack(
+        [
+            np.repeat(aJ, len(zero)),
+            np.repeat(a1, len(zero)),
+            np.repeat(a2, len(zero)),
+            np.tile(zero, len(aJ)),
+        ],
+        axis=1,
+    )
 
-    return to_tuples(first), to_tuples(second)
+    # second family: independent pairs a_1 ~ a_2 and a_rho ~ -a_J
+    a1, a2 = _near(w, w, tol)
+    keep = np.abs(w[a1] - w[a2]) <= tol
+    a1, a2 = a1[keep], a2[keep]
+    row, ar = _near(w, -w[nonsingular], tol)
+    aJ = nonsingular[row]
+    keep = np.abs(w[aJ] + w[ar]) <= tol
+    aJ, ar = aJ[keep], ar[keep]
+    second = np.stack(
+        [
+            np.repeat(aJ, len(a1)),
+            np.tile(a1, len(aJ)),
+            np.tile(a2, len(aJ)),
+            np.repeat(ar, len(a1)),
+        ],
+        axis=1,
+    )
+    second = second[np.lexsort(second.T[::-1])]
+    return tuple(map(tuple, first.tolist())), tuple(map(tuple, second.tolist()))
 
 
 def build_engine(
@@ -107,10 +164,9 @@ def build_engine(
 ) -> JDEngine:
     """Decompose the bond currents and coupling and index the resonances.
 
-    The quadruple loop runs over binned frequencies in ascending order
-    (row-major over the sorted bins), so the stored index and every
-    downstream reduction are deterministic.  Raises MissingFrequency when
-    the half-Fourier table does not cover the spectrum.
+    The index lists the quadruples in row-major order over the sorted
+    bins, so it is deterministic.  Raises MissingFrequency when the
+    half-Fourier table does not cover the spectrum.
     """
     tol = spectrum.bin_tolerance
     for w in spectrum.frequencies:
@@ -128,74 +184,73 @@ def build_engine(
     )
 
 
-def _family_sum(engine: JDEngine, rho_comps: np.ndarray, index) -> np.ndarray:
-    """Complex per-bond sum over one quadruple family."""
-    w = engine.spectrum.frequencies
-    tol = engine.spectrum.bin_tolerance
-    V = engine.coupling.components
-    J_stack = np.stack([s.components for s in engine.bond_currents])
-    total = np.zeros(engine.n_bonds, dtype=complex)
-    for aJ, a1, a2, ar in index:
-        a2dag = engine.spectrum.index_of(-w[a2])
-        if a2dag is None:
-            continue
-        Vdag = V[a2dag]
-        V1 = V[a1]
-        P = rho_comps[ar]
-        if not (Vdag.any() and V1.any() and P.any()):
-            continue
-        coeff = 1j * engine.gplus.value_at(w[a2], tol) / w[aJ]
-        M = Vdag @ P @ V1 - V1 @ Vdag @ P
-        total += coeff * np.einsum("bij,ji->b", J_stack[:, aJ], M)
-    return total
-
-
-def jd_expectation(engine: JDEngine, rho: np.ndarray) -> np.ndarray:
-    """Per-bond correction current of a state, by the resonant spectral sum.
-
-    For each indexed quadruple the summand is
-    (i / w_J) gplus(w_2) tr[J_{w_J} (V_{w_2}^dag rho_{w_rho} V_{w_1}
-    - V_{w_1} V_{w_2}^dag rho_{w_rho})], with V_{w_2}^dag the component at
-    -w_2; the first family adds, the second subtracts, and the Hermitian
-    conjugate is folded as twice the real part.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    N = engine.dimension
-    if rho.shape != (N, N):
-        raise DimensionMismatch(f"state shape {rho.shape} vs dimension {N}")
-    rho_sop = decompose(rho, engine.coupling.eig, engine.spectrum)
-    total = _family_sum(engine, rho_sop.components, engine.first_index)
-    total -= _family_sum(engine, rho_sop.components, engine.second_index)
-    return 2.0 * total.real
-
-
-def _unit(N: int, i: int, j: int) -> np.ndarray:
-    E = np.zeros((N, N), dtype=complex)
-    E[i, j] = 1.0
-    return E
+def _chain_coefficient(wJ, w1, w2, wr, g2, tol):
+    """i gplus(w_2) / w_J times (first-family mask - second-family mask)."""
+    nonsingular = np.abs(wJ) > tol
+    first = nonsingular & (np.abs(wJ + w1 - w2) <= tol) & (np.abs(wr) <= tol)
+    second = nonsingular & (np.abs(w1 - w2) <= tol) & (np.abs(wJ + wr) <= tol)
+    sign = first.astype(np.int8) - second.astype(np.int8)
+    return 1j * g2 / np.where(nonsingular, wJ, 1.0) * sign
 
 
 def jd_observables(engine: JDEngine) -> np.ndarray:
     """Site-basis Hermitian matrices O_b with tr(rho O_b) = jd_expectation.
 
-    The expectation is a real-linear functional on Hermitian matrices, so it
-    is evaluated on the N^2 Hermitian unit combinations (projectors plus the
-    symmetric and antisymmetric off-diagonal pairs) and the entries read off
-    from the dual pairing.  Returns an (N-1, N, N) stack.
+    Every energy-basis entry (i, j) of an operator lies in the single bin
+    L[i, j] nearest to E_i - E_j, so the resonant sum is a sum over index
+    chains (i, j, k, l).  In the energy basis, with W = w[L], W2 = w[m[L]]
+    for the mirror bin m = index_of(-w) (V_kl is the V_{w_2}^dag factor)
+    and G2 = gplus(W2),
+
+        A_b[i, l] = sum_jk V_ij J_jk V_kl T(W_jk, W_ij)
+                         - J_ij V_jk V_kl T(W_ij, W_jk),
+        T(w_J, w_1) = i G2_kl / w_J (F1 - F2),
+
+    where the two selection rules hold elementwise, with w_2 = W2_kl and
+    w_rho = W_li: F1 is |w_J| > tol, |w_J + w_1 - w_2| <= tol, |w_rho| <= tol;
+    F2 is |w_J| > tol, |w_1 - w_2| <= tol, |w_J + w_rho| <= tol.  Then
+    O_b = U (A_b + A_b^dag) U^dag.  Returns an (N-1, N, N) stack.
     """
+    spectrum = engine.spectrum
+    w = spectrum.frequencies
+    tol = spectrum.bin_tolerance
+    eig = engine.coupling.eig
+    E = eig.energies
+    # decompose's nearest-centre rule
+    L = np.argmin(np.abs((E[:, None] - E[None, :])[:, :, None] - w), axis=2)
+    w2 = np.full(len(w), np.nan)
+    g2 = np.zeros(len(w), dtype=complex)
+    for a, x in enumerate(w):
+        m = spectrum.index_of(-x)
+        if m is not None:
+            w2[a] = w[m]
+            g2[a] = engine.gplus.value_at(w[m], tol)
+    W, W2, G2 = w[L], w2[L][None, None], g2[L][None, None]
+    Wli = W.T[:, None, None, :]
+    T1 = _chain_coefficient(W[None, :, :, None], W[:, :, None, None], W2, Wli, G2, tol)
+    T2 = _chain_coefficient(W[:, :, None, None], W[None, :, :, None], W2, Wli, G2, tol)
+    V = engine.coupling.source
+    J = np.stack([s.source for s in engine.bond_currents])
+    A = np.einsum("ij,kl,ijkl,bjk->bil", V, V, T1, J, optimize=True)
+    A -= np.einsum("jk,kl,ijkl,bij->bil", V, V, T2, J, optimize=True)
+    U = eig.basis
+    return U @ (A + A.conj().transpose(0, 2, 1)) @ U.conj().T
+
+
+def jd_expectation(engine: JDEngine, rho: np.ndarray) -> np.ndarray:
+    """Per-bond correction current of a Hermitian state: tr(rho O_b).
+
+    O_b is the closed-form stack of jd_observables, the resonant spectral
+    sum (i / w_J) gplus(w_2) tr[J_{w_J} (V_{w_2}^dag rho_{w_rho} V_{w_1}
+    - V_{w_1} V_{w_2}^dag rho_{w_rho})] over both families (the first
+    adds, the second subtracts) plus its Hermitian conjugate.  Defined for
+    Hermitian rho, where that conjugate is the complex conjugate.
+    """
+    rho = np.asarray(rho, dtype=complex)
     N = engine.dimension
-    obs = np.zeros((engine.n_bonds, N, N), dtype=complex)
-    for i in range(N):
-        obs[:, i, i] = jd_expectation(engine, _unit(N, i, i))
-    for i in range(N):
-        for j in range(i + 1, N):
-            sym = jd_expectation(engine, _unit(N, i, j) + _unit(N, j, i))
-            asym = jd_expectation(
-                engine, 1j * (_unit(N, i, j) - _unit(N, j, i))
-            )
-            obs[:, i, j] = (sym + 1j * asym) / 2.0
-            obs[:, j, i] = (sym - 1j * asym) / 2.0
-    return obs
+    if rho.shape != (N, N):
+        raise DimensionMismatch(f"state shape {rho.shape} vs dimension {N}")
+    return np.einsum("bij,ji->b", jd_observables(engine), rho).real
 
 
 def jd_observable(engine: JDEngine, bond: int) -> np.ndarray:
@@ -326,33 +381,35 @@ def continuity_report(
     The density time-derivative is evaluated through the generator, not by
     finite differences, so the residuals measure operator identities rather
     than integrator error.  residual_raw should reproduce the source
-    expectations exactly; residual_corrected should vanish.
+    expectations exactly; residual_corrected should vanish.  All stored
+    states are evaluated at once; each report holds rows of the stacked
+    results.
     """
     if len(traj.states) == 0:
         raise ValueError("trajectory is empty")
-    M = G.full_matrix()
-    sources = lstar_density(G, ops)
-    obs = jd_observables(engine)
-    reports = []
-    for time, rho in zip(traj.times, traj.states):
-        densities, currents = expectation_report(ops, rho)
-        lstar = np.array([np.trace(rho @ L).real for L in sources])
-        drho = unvec(M @ vec(rho), G.dimension)
-        # astype copies: a stored view would keep all of drho alive
-        dn_dt = np.real(np.diag(drho)).astype(float)
-        j_diss = np.array([np.trace(rho @ O).real for O in obs])
-        raw = dn_dt + np.array(discrete_divergence(currents))
-        corrected = dn_dt + np.array(discrete_divergence(currents + j_diss))
-        reports.append(
-            CurrentReport(
-                time=float(time),
-                site_density=densities,
-                dn_dt=dn_dt,
-                site_lstar_density=lstar,
-                bond_j_ham=currents,
-                bond_j_diss=j_diss,
-                residual_raw=raw,
-                residual_corrected=corrected,
-            )
+    states = np.asarray(traj.states, dtype=complex)
+    T, N = len(states), G.dimension
+    vecs = states.transpose(0, 2, 1).reshape(T, N * N)
+    drho = np.matmul(G.full_matrix(), vecs[:, :, None])
+    dn_dt = np.ascontiguousarray(drho[:, :: N + 1, 0].real)
+    densities = np.ascontiguousarray(np.diagonal(states, axis1=1, axis2=2).real)
+    traces = "tij,bji->tb"
+    j_ham = np.einsum(traces, states, np.array(ops.j_ops)).real
+    lstar = np.einsum(traces, states, np.array(lstar_density(G, ops))).real
+    j_diss = np.einsum(traces, states, jd_observables(engine)).real
+    raw = dn_dt + np.array(discrete_divergence(j_ham.T)).T
+    corrected = dn_dt + np.array(discrete_divergence((j_ham + j_diss).T)).T
+    rows = zip(traj.times, densities, dn_dt, lstar, j_ham, j_diss, raw, corrected)
+    return [
+        CurrentReport(
+            time=float(t),
+            site_density=n,
+            dn_dt=dn,
+            site_lstar_density=src,
+            bond_j_ham=jh,
+            bond_j_diss=jd,
+            residual_raw=res_raw,
+            residual_corrected=res_corr,
         )
-    return reports
+        for t, n, dn, src, jh, jd, res_raw, res_corr in rows
+    ]

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
 
 from .errors import (
     DegenerateKernel,
@@ -304,7 +303,10 @@ def triangle_convolution(g: np.ndarray, V: np.ndarray, h: float) -> np.ndarray:
     Entry i is the trapezoid rule over u in [0, s_i] sampled at the grid.
     """
     n = len(g)
-    full = scipy.signal.fftconvolve(g[:, None, None], V, axes=0)[:n]
+    size = 1 << (2 * n - 2).bit_length()  # smallest power of two >= 2n - 1
+    spectrum = np.fft.fft(V, size, axis=0)
+    spectrum *= np.fft.fft(g, size)[:, None, None]
+    full = np.fft.ifft(spectrum, axis=0)[:n]
     corr = 0.5 * (g[:, None, None] * V[0][None, :, :] + g[0] * V)
     out = h * (full - corr)
     out[0] = 0.0

@@ -2,12 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindcur import (
+    BohrSpectrum,
     DimensionMismatch,
+    Exponential,
     IndexOutOfRange,
     PointwiseUndefined,
     StepTooCoarse,
+    Tabulated,
     WhiteNoise,
     apply_adjoint,
     build_engine,
@@ -22,7 +27,7 @@ from lindcur import (
     jd_observable,
     lstar_density,
 )
-from lindcur.current import jd_observables
+from lindcur.current import _resonant_quadruples, jd_observables
 from lindcur.lattice import ChainSpec, build_chain
 from lindcur.reservoir import resolution_bound
 
@@ -298,6 +303,30 @@ def test_continuity_report_closes_the_balance(ref4):
         assert np.sum(rep.site_density) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_continuity_report_matches_per_state_loop(asym4):
+    """The batched report against the per-state traces it replaced."""
+    G, ops = asym4.generator, asym4.ops
+    traj = evolve(G, _site_projector(4), 1.0, 0.01)
+    reports = continuity_report(G, ops, asym4.engine, traj)
+    sources = lstar_density(G, ops)
+    obs = jd_observables(asym4.engine)
+    for rep, rho in zip(reports, traj.states):
+        currents = np.array([np.trace(rho @ J).real for J in ops.j_ops])
+        j_diss = np.array([np.trace(rho @ O).real for O in obs])
+        dn_dt = np.diag(G.apply_full(rho)).real
+        expected = {
+            "site_density": np.diag(rho).real,
+            "site_lstar_density": np.array([np.trace(rho @ L).real for L in sources]),
+            "bond_j_ham": currents,
+            "bond_j_diss": j_diss,
+            "residual_raw": dn_dt + np.array(discrete_divergence(currents)),
+            "residual_corrected": dn_dt
+            + np.array(discrete_divergence(currents + j_diss)),
+        }
+        for field, want in expected.items():
+            np.testing.assert_allclose(getattr(rep, field), want, rtol=0, atol=1e-15)
+
+
 def test_continuity_report_trivial_without_dissipation():
     bundle = make_bundle(3, np.zeros(3))
     traj = evolve(bundle.generator, _site_projector(3), 0.5, 0.01)
@@ -311,3 +340,167 @@ def test_continuity_report_trivial_without_dissipation():
 def test_engine_dimension_guards(ref4):
     with pytest.raises(DimensionMismatch):
         jd_expectation(ref4.engine, np.eye(3, dtype=complex) / 3.0)
+
+
+# -- references: the resonance index and the J_D sum as first defined ----------
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+def _meshgrid_quadruples(spectrum):
+    """Both resonant families from full bins^4 masks, in row-major order."""
+    w = spectrum.frequencies
+    tol = spectrum.bin_tolerance
+    J, A, B, R = np.meshgrid(w, w, w, w, indexing="ij", sparse=True)
+    nonsingular = np.abs(J) > tol
+    first = nonsingular & (np.abs(J + A - B) <= tol) & (np.abs(R) <= tol)
+    second = nonsingular & (np.abs(A - B) <= tol) & (np.abs(J + R) <= tol)
+
+    def to_tuples(mask):
+        return tuple(tuple(int(i) for i in q) for q in np.argwhere(mask))
+
+    return to_tuples(first), to_tuples(second)
+
+
+def _family_sum(engine, rho_comps, index):
+    """Complex per-bond sum over one quadruple family, for a stack of states.
+
+    rho_comps has shape (states, bins, N, N); the loop runs over quadruples.
+    """
+    w = engine.spectrum.frequencies
+    tol = engine.spectrum.bin_tolerance
+    V = engine.coupling.components
+    J_stack = np.stack([s.components for s in engine.bond_currents])
+    total = np.zeros((len(rho_comps), engine.n_bonds), dtype=complex)
+    for aJ, a1, a2, ar in index:
+        a2dag = engine.spectrum.index_of(-w[a2])
+        if a2dag is None:
+            continue
+        Vdag = V[a2dag]
+        V1 = V[a1]
+        P = rho_comps[:, ar]
+        coeff = 1j * engine.gplus.value_at(w[a2], tol) / w[aJ]
+        M = Vdag @ P @ V1 - V1 @ Vdag @ P
+        total += coeff * np.einsum("bij,sji->sb", J_stack[:, aJ], M)
+    return total
+
+
+def _probe_observables(engine):
+    """O_b read off the quadruple sum on the N^2 Hermitian unit probes."""
+    N = engine.dimension
+    eig, spectrum = engine.coupling.eig, engine.spectrum
+    first, second = _meshgrid_quadruples(spectrum)
+    units = np.eye(N * N, dtype=complex).reshape(N * N, N, N)
+    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
+    probes = [units[i * N + i] for i in range(N)]
+    for i, j in pairs:
+        probes.append(units[i * N + j] + units[j * N + i])
+        probes.append(1j * (units[i * N + j] - units[j * N + i]))
+    comps = np.stack([decompose(p, eig, spectrum).components for p in probes])
+    values = 2.0 * (
+        _family_sum(engine, comps, first) - _family_sum(engine, comps, second)
+    ).real
+    obs = np.zeros((engine.n_bonds, N, N), dtype=complex)
+    for i in range(N):
+        obs[:, i, i] = values[i]
+    for p, (i, j) in enumerate(pairs):
+        sym, asym = values[N + 2 * p], values[N + 2 * p + 1]
+        obs[:, i, j] = (sym + 1j * asym) / 2.0
+        obs[:, j, i] = (sym - 1j * asym) / 2.0
+    return obs
+
+
+def _tabulated_exponential(gamma, kappa):
+    t = np.linspace(0.0, 8.0, 801)
+    return Tabulated(t, gamma * np.exp(-kappa * t))
+
+
+BATHS = {
+    "exponential": lambda: Exponential(gamma=0.1, kappa=5.0),
+    "exponential_shifted": lambda: Exponential(gamma=0.1, kappa=5.0, omega=0.7),
+    "white": lambda: WhiteNoise(0.2),
+    "tabulated": lambda: _tabulated_exponential(0.1, 2.0),
+}
+
+
+@st.composite
+def chain_models(draw):
+    """Chains of 2-6 sites: zero, random or mirror-symmetric potentials,
+    couplings with some zero sites, and each bath kind."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    potential = {
+        "zero": np.zeros(n),
+        "random": rng.normal(0.0, 0.3, n),
+        "mirror": (lambda p: (p + p[::-1]) / 2.0)(rng.normal(0.0, 0.3, n)),
+    }[draw(st.sampled_from(["zero", "random", "mirror"]))]
+    coupling = rng.uniform(-1.0, 1.0, n)
+    coupling[draw(st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True))] = 0.0
+    kernel = BATHS[draw(st.sampled_from(sorted(BATHS)))]()
+    return make_bundle(n, coupling, potential=potential, kernel=kernel)
+
+
+@PROPERTY_SETTINGS
+@given(chain_models())
+def test_closed_form_matches_quadruple_sum(bundle):
+    reference = _probe_observables(bundle.engine)
+    stack = jd_observables(bundle.engine)
+    tol = 1e-13 * np.max(np.abs(reference)) + 1e-16
+    assert np.max(np.abs(stack - reference)) <= tol
+
+
+@PROPERTY_SETTINGS
+@given(chain_models())
+def test_divergence_identity_on_generated_chains(bundle):
+    sources = lstar_density(bundle.generator, bundle.ops)
+    scale = max(np.linalg.norm(L) for L in sources)
+    dev = divergence_identity_check(bundle.engine, bundle.generator, bundle.ops)
+    assert dev <= 1e-12 * scale
+
+
+@PROPERTY_SETTINGS
+@given(chain_models())
+def test_sorted_index_matches_meshgrid_on_chains(bundle):
+    first, second = _meshgrid_quadruples(bundle.spectrum)
+    assert bundle.engine.first_index == first
+    assert bundle.engine.second_index == second
+
+
+@st.composite
+def near_resonant_spectra(draw):
+    """Sorted frequencies with sums and mirrors placed at and around +-tol."""
+    tol = draw(st.sampled_from([1e-9, 1e-3, 0.25]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.uniform(-3.0, 3.0, draw(st.integers(1, 5)))
+    w = list(base) + list(-base) + [0.0]
+    offsets = [
+        tol,
+        -tol,
+        np.nextafter(tol, 1.0),
+        -np.nextafter(tol, 1.0),
+        np.nextafter(tol, 0.0),
+        0.5 * tol,
+        0.0,
+    ]
+    for _ in range(draw(st.integers(0, 12))):
+        x, y = rng.choice(base, 2) * rng.choice([-1.0, 1.0], 2)
+        delta = offsets[draw(st.integers(0, len(offsets) - 1))]
+        w.append(x + y + delta if draw(st.booleans()) else delta - x)
+    return BohrSpectrum(frequencies=np.unique(w), bin_tolerance=tol)
+
+
+@PROPERTY_SETTINGS
+@given(near_resonant_spectra())
+def test_sorted_index_matches_meshgrid_near_tolerance(spectrum):
+    assert _resonant_quadruples(spectrum) == _meshgrid_quadruples(spectrum)
+
+
+def test_sixteen_site_chain_is_reachable():
+    """The bins^4 masks made N = 16 unbuildable; the sorted index does not."""
+    rng = np.random.default_rng(16)
+    bundle = make_bundle(16, rng.uniform(-1.0, 1.0, 16), potential=rng.normal(0.0, 0.3, 16))
+    assert jd_observables(bundle.engine).shape == (15, 16, 16)
+    sources = lstar_density(bundle.generator, bundle.ops)
+    scale = max(np.linalg.norm(L) for L in sources)
+    dev = divergence_identity_check(bundle.engine, bundle.generator, bundle.ops)
+    assert dev <= 1e-12 * scale
