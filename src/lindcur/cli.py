@@ -43,6 +43,7 @@ POINTWISE_SUITES = ("oracle", "prelindblad", "all")
 ORACLE_LADDER = (50.0, 100.0, 200.0)
 PRELINDBLAD_LADDER = (25.0, 50.0, 100.0, 200.0)
 ABSOLUTE_FLOOR = 1e-12
+CSV_BLOCK = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,49 +95,60 @@ def build_workbench(cfg: Config) -> Workbench:
     return Workbench(cfg, ops, eig, spectrum, kernel, gplus, generator, engine)
 
 
+def _write_table(path, header, prec, times, columns) -> None:
+    """One CSV: a row per (time, index) with the (T, n) columns' values.
+
+    Rows are formatted CSV_BLOCK states at a time with one %-template, so
+    the text held at once stays bounded on long trajectories.
+    """
+    n = columns[0].shape[1]
+    row = f"%.{prec}e,%d" + f",%.{prec}e" * len(columns) + "\n"
+    index = list(range(n))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header)
+        for start in range(0, len(times), CSV_BLOCK):
+            block = slice(start, start + CSV_BLOCK)
+            rows = zip(
+                np.repeat(times[block], n).tolist(),
+                index * len(times[block]),
+                *(c[block].ravel().tolist() for c in columns),
+            )
+            fh.write("".join(row % r for r in rows))
+
+
 def _write_csvs(wb: Workbench, traj: Trajectory, out_dir: str) -> None:
-    cfg = wb.cfg
-    prec = cfg.output.precision
+    prec = wb.cfg.output.precision
     reports = continuity_report(wb.generator, wb.ops, wb.engine, traj)
     os.makedirs(out_dir, exist_ok=True)
 
-    def fmt(x: float) -> str:
-        return f"{x:.{prec}e}"
+    def column(field):
+        return np.array([getattr(rep, field) for rep in reports])
 
-    with open(os.path.join(out_dir, "density.csv"), "w", encoding="utf-8") as fh:
-        fh.write("time,site,n,dn_dt,lstar_n,residual_raw,residual_corrected\n")
-        for rep in reports:
-            for r in range(wb.ops.n_sites):
-                fh.write(
-                    ",".join(
-                        [
-                            fmt(rep.time),
-                            str(r),
-                            fmt(rep.site_density[r]),
-                            fmt(rep.dn_dt[r]),
-                            fmt(rep.site_lstar_density[r]),
-                            fmt(rep.residual_raw[r]),
-                            fmt(rep.residual_corrected[r]),
-                        ]
-                    )
-                    + "\n"
-                )
-    with open(os.path.join(out_dir, "currents.csv"), "w", encoding="utf-8") as fh:
-        fh.write("time,bond,j_ham,j_diss,j_total\n")
-        for rep in reports:
-            for b in range(wb.ops.n_bonds):
-                fh.write(
-                    ",".join(
-                        [
-                            fmt(rep.time),
-                            str(b),
-                            fmt(rep.bond_j_ham[b]),
-                            fmt(rep.bond_j_diss[b]),
-                            fmt(rep.bond_j_ham[b] + rep.bond_j_diss[b]),
-                        ]
-                    )
-                    + "\n"
-                )
+    times = column("time")
+    j_ham, j_diss = column("bond_j_ham"), column("bond_j_diss")
+    _write_table(
+        os.path.join(out_dir, "density.csv"),
+        "time,site,n,dn_dt,lstar_n,residual_raw,residual_corrected\n",
+        prec,
+        times,
+        [
+            column(field)
+            for field in (
+                "site_density",
+                "dn_dt",
+                "site_lstar_density",
+                "residual_raw",
+                "residual_corrected",
+            )
+        ],
+    )
+    _write_table(
+        os.path.join(out_dir, "currents.csv"),
+        "time,bond,j_ham,j_diss,j_total\n",
+        prec,
+        times,
+        [j_ham, j_diss, j_ham + j_diss],
+    )
 
 
 def run_simulate(cfg: Config) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -8,7 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lindcur import cli
 from lindcur.cli import main
+from lindcur.config import parse_config
+from lindcur.current import CurrentReport
 
 CHECK_LINE = re.compile(
     r"^CHECK (\S+) measured=(-?\d\.\d{6}e[+-]\d{2,3})"
@@ -227,3 +231,78 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def _per_value_writer(reports, n_sites, prec, out_dir):
+    """The per-value f-string writer that the columnar _write_csvs replaced."""
+
+    def fmt(x):
+        return f"{x:.{prec}e}"
+
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "density.csv"), "w", encoding="utf-8") as fh:
+        fh.write("time,site,n,dn_dt,lstar_n,residual_raw,residual_corrected\n")
+        for rep in reports:
+            for r in range(n_sites):
+                values = (
+                    rep.site_density[r],
+                    rep.dn_dt[r],
+                    rep.site_lstar_density[r],
+                    rep.residual_raw[r],
+                    rep.residual_corrected[r],
+                )
+                fh.write(",".join([fmt(rep.time), str(r), *map(fmt, values)]) + "\n")
+    with open(os.path.join(out_dir, "currents.csv"), "w", encoding="utf-8") as fh:
+        fh.write("time,bond,j_ham,j_diss,j_total\n")
+        for rep in reports:
+            for b in range(n_sites - 1):
+                jh, jd = rep.bond_j_ham[b], rep.bond_j_diss[b]
+                fh.write(",".join([fmt(rep.time), str(b), fmt(jh), fmt(jd), fmt(jh + jd)]) + "\n")
+
+
+def _crafted_reports(n_states, n_sites):
+    """Reports with values over many decades and the edge values -0.0,
+    1e-300 and 1e300, spread over more than one write block."""
+    rng = np.random.default_rng(7)
+
+    def values(*shape):
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        flat = x.reshape(-1)
+        flat[rng.integers(0, flat.size, 3)] = [-0.0, 1e-300, 1e300]
+        return x
+
+    site_fields = values(5, n_states, n_sites)
+    bond_fields = values(2, n_states, n_sites - 1)
+    times = np.cumsum(rng.uniform(0.0, 0.3, n_states))
+    times[0] = -0.0
+    return [
+        CurrentReport(
+            time=float(times[t]),
+            site_density=site_fields[0, t],
+            dn_dt=site_fields[1, t],
+            site_lstar_density=site_fields[2, t],
+            bond_j_ham=bond_fields[0, t],
+            bond_j_diss=bond_fields[1, t],
+            residual_raw=site_fields[3, t],
+            residual_corrected=site_fields[4, t],
+        )
+        for t in range(n_states)
+    ]
+
+
+@pytest.mark.parametrize("precision", [1, 12, 17])
+def test_columnar_csvs_match_per_value_writer(tmp_path, monkeypatch, precision):
+    cfg = parse_config(
+        _config(tmp_path, {"model": {"n_sites": 3}, "run": {"t_final": 0.1, "dt": 0.005}})
+    )
+    cfg = dataclasses.replace(
+        cfg, output=dataclasses.replace(cfg.output, precision=precision)
+    )
+    wb = cli.build_workbench(cfg)
+    reports = _crafted_reports(2 * cli.CSV_BLOCK + 3, 3)
+    monkeypatch.setattr(cli, "continuity_report", lambda *args: reports)
+    cli._write_csvs(wb, None, str(tmp_path / "columnar"))
+    _per_value_writer(reports, 3, precision, str(tmp_path / "per_value"))
+    for name in ("density.csv", "currents.csv"):
+        got = (tmp_path / "columnar" / name).read_bytes()
+        assert got == (tmp_path / "per_value" / name).read_bytes()

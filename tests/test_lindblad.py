@@ -1,5 +1,9 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lindcur import (
     DegenerateKernel,
@@ -8,9 +12,12 @@ from lindcur import (
     HalfFourierTable,
     MissingFrequency,
     PointwiseUndefined,
+    PositivityLost,
     PositivityViolation,
     StepTooCoarse,
     StepTooLarge,
+    SuperOperator,
+    Trajectory,
     WhiteNoise,
     apply_adjoint,
     bohr_frequencies,
@@ -23,6 +30,7 @@ from lindcur import (
     steady_state,
     superop_from_action,
 )
+from lindcur.linalg import unvec, vec
 from lindcur.reservoir import resolution_bound
 
 from conftest import make_bundle, random_density, random_hermitian
@@ -214,8 +222,9 @@ def test_evolve_commuting_state_is_constant():
 
 def test_evolve_step_bound():
     G, _ = _two_level_flat(omega0=10.0)
-    with pytest.raises(StepTooLarge):
-        evolve(G, np.eye(2, dtype=complex) / 2.0, 1.0, 0.02)
+    for t_final in (1.0, 0.0):
+        with pytest.raises(StepTooLarge):
+            evolve(G, np.eye(2, dtype=complex) / 2.0, t_final, 0.02)
 
 
 def test_evolve_input_validation(ref4):
@@ -224,12 +233,107 @@ def test_evolve_input_validation(ref4):
         evolve(ref4.generator, rho0, 1.0, -0.1)
     with pytest.raises(ValueError):
         evolve(ref4.generator, rho0, -1.0, 0.01)
+    with pytest.raises(ValueError, match="t_final must be non-negative"):
+        evolve(ref4.generator, rho0, -1.0, 1.0)  # checked before the step bound
     with pytest.raises(ValueError):
         evolve(ref4.generator, np.eye(4, dtype=complex), 1.0, 0.01)  # trace 4
     skew = rho0.copy()
     skew[0, 1] = 0.5
     with pytest.raises(ValueError):
         evolve(ref4.generator, skew, 1.0, 0.01)
+
+
+def _rk4_stage_loop(G, rho0, t_final, dt):
+    """The four-stage RK4 loop that evolve's step matrix replaced."""
+    M = G.full_matrix()
+    n_steps = max(1, math.ceil(t_final / dt - 1e-12))
+    h = t_final / n_steps
+    states = [rho0.copy()]
+    herm_defects = [0.0]
+    trace_defects = [0.0]
+    r = vec(rho0)
+    for step in range(n_steps):
+        k1 = M @ r
+        k2 = M @ (r + 0.5 * h * k1)
+        k3 = M @ (r + 0.5 * h * k2)
+        k4 = M @ (r + h * k3)
+        r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = unvec(r, G.dimension)
+        herm_defects.append(float(np.max(np.abs(rho - rho.conj().T))))
+        rho = (rho + rho.conj().T) / 2.0
+        tr = float(np.trace(rho).real)
+        trace_defects.append(abs(tr - 1.0))
+        rho = rho / tr
+        low = float(np.min(np.linalg.eigvalsh(rho)))
+        if low < -1e-6:
+            raise PositivityLost(f"eigenvalue {low:.3e} at t={h * (step + 1):.6g}")
+        states.append(rho)
+        r = vec(rho)
+    return Trajectory(
+        times=h * np.arange(n_steps + 1),
+        states=states,
+        herm_defects=np.array(herm_defects),
+        trace_defects=np.array(trace_defects),
+    )
+
+
+def _site_state(n, site=0):
+    rho = np.zeros((n, n), dtype=complex)
+    rho[site, site] = 1.0
+    return rho
+
+
+@pytest.mark.parametrize("model", ["asym4", "ref4", "two_level_flat", "random8"])
+def test_step_matrix_matches_stage_loop(request, model, rng):
+    if model == "two_level_flat":
+        G, _ = _two_level_flat()
+        rho0, t_final, dt = np.diag([1.0, 0.0]).astype(complex), 2.0, 0.004
+    elif model == "random8":
+        chain = np.random.default_rng(8)
+        bundle = make_bundle(
+            8, chain.uniform(-1.0, 1.0, 8), potential=chain.normal(0.0, 0.3, 8)
+        )
+        G, rho0, t_final, dt = bundle.generator, random_density(rng, 8), 3.0, 0.01
+    else:
+        G = request.getfixturevalue(model).generator
+        rho0, t_final, dt = _site_state(4), 5.0, 0.01
+    got = evolve(G, rho0, t_final, dt)
+    want = _rk4_stage_loop(G, rho0, t_final, dt)
+    np.testing.assert_array_equal(got.times, want.times)
+    assert got.herm_defects.shape == want.herm_defects.shape == got.times.shape
+    assert got.trace_defects.shape == want.trace_defects.shape == got.times.shape
+    assert len(got.states) == len(want.states)
+    scale = max(float(np.max(np.abs(rho))) for rho in want.states)
+    gap = max(float(np.max(np.abs(a - b))) for a, b in zip(got.states, want.states))
+    assert gap <= 1e-13 * scale
+
+
+def test_evolve_is_fourth_order(asym4):
+    """The final-state gap to the exact propagator shrinks 16x per dt halving."""
+    M = asym4.generator.full_matrix()
+    rho0 = _site_state(4)
+    exact = unvec(scipy.linalg.expm(20.0 * M) @ vec(rho0), 4)
+    gaps = [
+        float(np.max(np.abs(evolve(asym4.generator, rho0, 20.0, dt).states[-1] - exact)))
+        for dt in (0.02, 0.01, 0.005)
+    ]
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 16.0 * 0.75 <= coarse / fine <= 16.0 * 1.25
+
+
+def test_positivity_guard_stops_at_first_bad_state():
+    """A negated dissipator drives a population through zero mid-run.
+
+    The first bad state is step 671; t = 2.7 ends it in the last, partial
+    chunk of the positivity check, t = 50 in a full one.
+    """
+    G, _ = _two_level_flat()
+    bad = dataclasses.replace(G, dissipator=SuperOperator(2, -G.dissipator.matrix))
+    rho0 = np.diag([0.6, 0.4]).astype(complex)
+    for t_final in (2.7, 50.0):
+        with pytest.raises(PositivityLost, match=r"^eigenvalue -4\.813e-04 at t=2\.684$"):
+            evolve(bad, rho0, t_final, 0.004)
+    evolve(bad, rho0, 2.0, 0.004)
 
 
 def test_steady_state_flat_noise_is_maximally_mixed():
