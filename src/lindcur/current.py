@@ -64,23 +64,23 @@ class CurrentReport:
 class JDEngine:
     """Precomputed spectral data for the correction-current sum.
 
-    The resonant bin quadruples are listed as index tuples
-    (a_J, a_1, a_2, a_rho) into the binned frequencies.  The first family
-    satisfies w_J + w_1 - w_2 = 0 with w_rho = 0 and enters with a plus
+    The resonant bin quadruples are the rows (a_J, a_1, a_2, a_rho) of two
+    (n, 4) int arrays of indices into the binned frequencies.  The first
+    family satisfies w_J + w_1 - w_2 = 0 with w_rho = 0 and enters with a plus
     sign; the second satisfies w_1 = w_2 with w_rho = -w_J and enters with
     a minus.  Bins with |w_J| at or below the matching tolerance are
     excluded everywhere: their would-be contribution is divergence-free on
     an open chain, so the conservation identity does not miss them.
     jd_observables applies the same two rules elementwise over index
-    chains; the lists record which quadruples resonate and how many.
+    chains; the arrays record which quadruples resonate and how many.
     """
 
     bond_currents: tuple
     coupling: SpectralOperator
     gplus: HalfFourierTable
     spectrum: BohrSpectrum
-    first_index: tuple
-    second_index: tuple
+    first_index: np.ndarray
+    second_index: np.ndarray
 
     @property
     def dimension(self) -> int:
@@ -107,7 +107,8 @@ def _near(w: np.ndarray, targets: np.ndarray, tol: float):
 
 
 def _resonant_quadruples(spectrum: BohrSpectrum):
-    """Both quadruple families, as tuples in row-major order over the bins.
+    """Both quadruple families as (n, 4) int arrays, in row-major order over
+    the bins.
 
     A sorted search proposes the candidates; the selection rules are then
     applied with the same float expressions as their definition.
@@ -152,8 +153,7 @@ def _resonant_quadruples(spectrum: BohrSpectrum):
         ],
         axis=1,
     )
-    second = second[np.lexsort(second.T[::-1])]
-    return tuple(map(tuple, first.tolist())), tuple(map(tuple, second.tolist()))
+    return first, second[np.lexsort(second.T[::-1])]
 
 
 def build_engine(
@@ -199,8 +199,8 @@ def jd_observables(engine: JDEngine) -> np.ndarray:
     Every energy-basis entry (i, j) of an operator lies in the single bin
     L[i, j] nearest to E_i - E_j, so the resonant sum is a sum over index
     chains (i, j, k, l).  In the energy basis, with W = w[L], W2 = w[m[L]]
-    for the mirror bin m = index_of(-w) (V_kl is the V_{w_2}^dag factor)
-    and G2 = gplus(W2),
+    for the mirror bin m of -w (V_kl is the V_{w_2}^dag factor; bins with
+    no mirror within the tolerance drop out) and G2 = gplus(W2),
 
         A_b[i, l] = sum_jk V_ij J_jk V_kl T(W_jk, W_ij)
                          - J_ij V_jk V_kl T(W_ij, W_jk),
@@ -214,17 +214,12 @@ def jd_observables(engine: JDEngine) -> np.ndarray:
     spectrum = engine.spectrum
     w = spectrum.frequencies
     tol = spectrum.bin_tolerance
-    eig = engine.coupling.eig
-    E = eig.energies
-    # decompose's nearest-centre rule
-    L = np.argmin(np.abs((E[:, None] - E[None, :])[:, :, None] - w), axis=2)
-    w2 = np.full(len(w), np.nan)
+    L = engine.coupling.labels
+    mirror = spectrum.nearest(-w)
+    found = np.abs(w[mirror] + w) <= tol
+    w2 = np.where(found, w[mirror], np.nan)
     g2 = np.zeros(len(w), dtype=complex)
-    for a, x in enumerate(w):
-        m = spectrum.index_of(-x)
-        if m is not None:
-            w2[a] = w[m]
-            g2[a] = engine.gplus.value_at(w[m], tol)
+    g2[found] = [engine.gplus.value_at(x, tol) for x in w2[found]]
     W, W2, G2 = w[L], w2[L][None, None], g2[L][None, None]
     Wli = W.T[:, None, None, :]
     T1 = _chain_coefficient(W[None, :, :, None], W[:, :, None, None], W2, Wli, G2, tol)
@@ -233,7 +228,7 @@ def jd_observables(engine: JDEngine) -> np.ndarray:
     J = np.stack([s.source for s in engine.bond_currents])
     A = np.einsum("ij,kl,ijkl,bjk->bil", V, V, T1, J, optimize=True)
     A -= np.einsum("jk,kl,ijkl,bij->bil", V, V, T2, J, optimize=True)
-    U = eig.basis
+    U = engine.coupling.eig.basis
     return U @ (A + A.conj().transpose(0, 2, 1)) @ U.conj().T
 
 
@@ -313,9 +308,12 @@ def jd_finite_time_oracle(
     with V_s the interaction-picture coupling and Z_b the bond current's
     phase-integrated spectral sum, Z_b(s) = sum_{w != 0} J_w
     (exp(i w s) - 1)/(i w), plus the s-linear zero-bin term only when
-    include_zero_mode is set.  With the flag off the values approach
-    jd_expectation as t grows, with a 1/t envelope.  The input checks of
-    sampled_window apply; t must also reach the averaging horizon.
+    include_zero_mode is set.  Each energy-basis entry of J_b carries the
+    phase factor of its own bin (decompose's labels; no selection rule
+    enters), so every bond is traced in one contraction.  With the flag
+    off the values approach jd_expectation as t grows, with a 1/t
+    envelope.  The input checks of sampled_window apply; t must also
+    reach the averaging horizon.
     """
     rho = np.asarray(rho, dtype=complex)
     N = eig.dimension
@@ -333,8 +331,7 @@ def jd_finite_time_oracle(
             )
     C = triangle_convolution(g, V_t, h)
     rho_en = eig.to_energy_basis(rho)
-    D = np.einsum("tij,jk,tkl->til", C, rho_en, V_t)
-    D -= np.einsum("tij,tjk,kl->til", V_t, C, rho_en)
+    D = C @ rho_en @ V_t - V_t @ C @ rho_en
 
     zfac = np.zeros((len(freqs), len(s)), dtype=complex)
     for a, w in enumerate(freqs):
@@ -343,13 +340,11 @@ def jd_finite_time_oracle(
         elif include_zero_mode:
             zfac[a] = s
 
-    out = np.zeros(len(ops.j_ops))
-    for b, J in enumerate(ops.j_ops):
-        J_sop = decompose(J, eig, spectrum)
-        traces = np.einsum("aij,tji->at", J_sop.components, D)
-        integrand = np.einsum("at,at->t", zfac, traces)
-        out[b] = 2.0 * (-np.trapezoid(integrand, dx=h) / t).real
-    return out
+    J_en = eig.basis.conj().T @ np.array(ops.j_ops) @ eig.basis
+    integrand = np.einsum(
+        "bij,tji,ijt->bt", J_en, D, zfac[coupling.labels], optimize=True
+    )
+    return 2.0 * (-np.trapezoid(integrand, dx=h, axis=1) / t).real
 
 
 def divergence_identity_check(

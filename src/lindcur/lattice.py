@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, LengthMismatch
+from .errors import LengthMismatch
 
 BOUNDARY = "open"
 
@@ -105,17 +105,3 @@ def discrete_divergence(bond_values):
     out.append(-bonds[-1])
     return out
 
-
-def expectation_report(ops: LatticeOperators, rho: np.ndarray):
-    """Per-site densities and per-bond currents of a state.
-
-    Returns (densities, currents) as float arrays; imaginary residues
-    (bounded by rounding for a valid density matrix) are truncated.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    N = ops.n_sites
-    if rho.shape != (N, N):
-        raise DimensionMismatch(f"state shape {rho.shape} vs {N} sites")
-    densities = np.real(np.diag(rho)).astype(float)
-    currents = np.array([np.trace(rho @ J).real for J in ops.j_ops])
-    return densities, currents

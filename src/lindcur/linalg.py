@@ -110,31 +110,6 @@ class SuperOperator:
             )
         return unvec(self.matrix @ vec(X), self.dimension)
 
-    def __add__(self, other: "SuperOperator") -> "SuperOperator":
-        if self.dimension != other.dimension:
-            raise DimensionMismatch("superoperator dimensions differ")
-        return SuperOperator(self.dimension, self.matrix + other.matrix)
-
-
-def superop_from_action(f, N: int) -> SuperOperator:
-    """Assemble the matrix of a linear map from its action on matrix units.
-
-    The units E_ij are visited in row-major order (i outer, j inner); the
-    caller guarantees linearity of f.
-    """
-    M = np.zeros((N * N, N * N), dtype=complex)
-    for i in range(N):
-        for j in range(N):
-            E = np.zeros((N, N), dtype=complex)
-            E[i, j] = 1.0
-            image = np.asarray(f(E), dtype=complex)
-            if image.shape != (N, N):
-                raise DimensionMismatch(
-                    f"action returned shape {image.shape}, expected {(N, N)}"
-                )
-            M[:, i + j * N] = vec(image)
-    return SuperOperator(N, M)
-
 
 def superop_adjoint(S: SuperOperator) -> SuperOperator:
     """Adjoint under the trace pairing: tr(A . S(B)) = tr(adjoint(S)(A) . B).

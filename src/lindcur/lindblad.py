@@ -134,7 +134,11 @@ def build_generator(
     Hmat = H.matrix()
     ident = np.eye(N, dtype=complex)
     ham = -1j * (kron_map(Hmat, ident) - kron_map(ident, Hmat))
-    Vs = U @ V.components @ U.conj().T
+    # the per-bin components V_w, stacked here only for this assembly
+    rows, cols = np.indices((N, N))
+    comps = np.zeros((len(spectrum), N, N), dtype=complex)
+    comps[V.labels, rows, cols] = V.source
+    Vs = U @ comps @ U.conj().T
     K = np.einsum("k,kij,klj->il", rates, Vs, Vs.conj())
     # entry [a, c, b, d] is the coefficient of rho[d, b] in out[c, a]
     jump = np.einsum(

@@ -196,34 +196,6 @@ def gplus_table(k: CorrelationKernel, spectrum: BohrSpectrum) -> HalfFourierTabl
     return HalfFourierTable(frequencies=spectrum.frequencies.copy(), values=values)
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    """Noise-spectrum values 2 Re gplus per bin, with any negative bins."""
-
-    frequencies: np.ndarray
-    spectrum_values: np.ndarray
-    flagged: np.ndarray
-
-    @property
-    def ok(self) -> bool:
-        return len(self.flagged) == 0
-
-
-def validate_positivity(
-    k: CorrelationKernel, spectrum: BohrSpectrum, tol: float = 1e-10
-) -> PositivityReport:
-    """Report 2 Re gplus at every bin and flag negative values.
-
-    Never raises; the caller decides whether a flagged bath is fatal.
-    """
-    table = gplus_table(k, spectrum)
-    vals = 2.0 * table.values.real
-    flagged = table.frequencies[vals < -tol]
-    return PositivityReport(
-        frequencies=table.frequencies, spectrum_values=vals, flagged=flagged
-    )
-
-
 def load_tabulated_csv(path) -> Tabulated:
     """Load a sampled kernel from CSV with header columns tau,re_g,im_g."""
     times, re, im = [], [], []

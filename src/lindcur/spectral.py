@@ -1,9 +1,11 @@
 """Frequency-resolved operator decompositions.
 
 An operator A is split into components A_w connecting eigenstates whose
-energy difference falls in the bin of frequency w.  Components live in the
-energy basis; rotation back to the site basis happens where results are
-reported.
+energy difference falls in the bin of frequency w.  Each energy-basis entry
+(n, m) lies in exactly one bin, the one nearest to E_n - E_m, so the split
+is stored as the energy-basis operator and an (N, N) map of bin labels,
+not as one matrix per bin.  Rotation back to the site basis happens where
+results are reported.
 """
 from __future__ import annotations
 
@@ -30,11 +32,28 @@ class BohrSpectrum:
     frequencies: np.ndarray
     bin_tolerance: float
 
+    def nearest(self, x) -> np.ndarray:
+        """Index of the centre nearest to each x, as an int array of x's shape.
+
+        A search over the sorted centres picks the two neighbours of x and
+        a tie goes to the lower one, so the result is the first index of
+        the smallest |x - frequencies| unless rounding also puts a third
+        centre at that distance, which takes |x| far beyond the centre
+        spacing.  The spectrum must not be empty.
+        """
+        w = self.frequencies
+        x = np.asarray(x, dtype=float)
+        if len(w) == 1:
+            return np.zeros(x.shape, dtype=np.intp)
+        hi = np.clip(np.searchsorted(w, x), 1, len(w) - 1)
+        lo = hi - 1
+        return np.where(np.abs(x - w[hi]) < np.abs(x - w[lo]), hi, lo)
+
     def index_of(self, omega: float) -> int | None:
         """Index of the bin containing omega, or None."""
         if len(self.frequencies) == 0:
             return None
-        k = int(np.argmin(np.abs(self.frequencies - omega)))
+        k = int(self.nearest(omega))
         if abs(self.frequencies[k] - omega) <= self.bin_tolerance:
             return k
         return None
@@ -78,70 +97,57 @@ def bohr_frequencies(eig: EigenSystem, freq_tol: float) -> BohrSpectrum:
             "cluster centers closer than the bin tolerance; "
             "freq_tol is too large for this spectrum"
         )
-    nearest = np.min(np.abs(diffs[:, None] - centers[None, :]), axis=1)
-    if np.max(nearest) > freq_tol:
+    spectrum = BohrSpectrum(frequencies=centers, bin_tolerance=freq_tol)
+    if np.max(np.abs(diffs - centers[spectrum.nearest(diffs)])) > freq_tol:
         raise BinCollision(
             "a transition frequency lies farther than freq_tol from every "
             "cluster center; freq_tol is too small for this spectrum"
         )
-    return BohrSpectrum(frequencies=centers, bin_tolerance=freq_tol)
+    return spectrum
 
 
 @dataclass(frozen=True)
 class SpectralOperator:
     """An operator resolved into frequency components.
 
-    source is the full operator in the energy basis; components[k] holds
-    the part assigned to spectrum.frequencies[k].  The generating
+    source is the full operator in the energy basis and labels[n, m] the
+    index of the bin of energies[n] - energies[m] in spectrum.frequencies;
+    component k is the part of source where labels == k.  The generating
     EigenSystem is kept for basis rotations downstream.
     """
 
     source: np.ndarray
-    components: np.ndarray
+    labels: np.ndarray
     spectrum: BohrSpectrum
     eig: EigenSystem = field(repr=False)
 
     def component(self, k: int) -> np.ndarray:
-        return self.components[k]
+        return np.where(self.labels == k, self.source, 0.0)
 
 
 def decompose(A: np.ndarray, eig: EigenSystem, spectrum: BohrSpectrum) -> SpectralOperator:
     """Resolve a site-basis operator into frequency components.
 
     The operator is rotated into the energy basis and each matrix element
-    (n, m) is assigned to the bin nearest to energies[n] - energies[m].
+    (n, m) is labelled with the bin nearest to energies[n] - energies[m].
     The components sum to the rotated operator exactly.
     """
     A = np.asarray(A, dtype=complex)
     N = eig.dimension
     if A.shape != (N, N):
         raise DimensionMismatch(f"operator shape {A.shape} vs dimension {N}")
-    A_en = eig.to_energy_basis(A)
     w = eig.energies
-    gaps = w[:, None] - w[None, :]
-    bins = np.argmin(np.abs(gaps[:, :, None] - spectrum.frequencies[None, None, :]), axis=2)
-    comps = np.zeros((len(spectrum), N, N), dtype=complex)
-    for k in range(len(spectrum)):
-        comps[k] = np.where(bins == k, A_en, 0.0)
-    return SpectralOperator(source=A_en, components=comps, spectrum=spectrum, eig=eig)
-
-
-def interaction_picture(sop: SpectralOperator, tau: float) -> np.ndarray:
-    """Evaluate sum_w exp(i w tau) A_w in the energy basis."""
-    phases = np.exp(1j * sop.spectrum.frequencies * tau)
-    return np.einsum("f,fij->ij", phases, sop.components)
+    labels = spectrum.nearest(w[:, None] - w[None, :])
+    return SpectralOperator(
+        source=eig.to_energy_basis(A), labels=labels, spectrum=spectrum, eig=eig
+    )
 
 
 def interaction_picture_batch(sop: SpectralOperator, taus: np.ndarray) -> np.ndarray:
-    """Vectorized interaction_picture over a time grid; returns (T, N, N)."""
-    phases = np.exp(1j * np.outer(taus, sop.spectrum.frequencies))
-    return np.einsum("tf,fij->tij", phases, sop.components)
+    """sum_w exp(i w tau) A_w in the energy basis for each tau; (T, N, N).
 
-
-def component_at(sop: SpectralOperator, omega: float, spectrum: BohrSpectrum) -> np.ndarray:
-    """Component for the bin containing omega, or a zero matrix."""
-    k = spectrum.index_of(omega)
-    N = sop.source.shape[0]
-    if k is None:
-        return np.zeros((N, N), dtype=complex)
-    return sop.components[k].copy()
+    Each entry carries the phase of its own bin, so this is one
+    elementwise product per time.
+    """
+    gaps = sop.spectrum.frequencies[sop.labels]
+    return np.exp(1j * np.multiply.outer(taus, gaps)) * sop.source

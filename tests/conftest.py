@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import lindcur as lc
+from lindcur.linalg import vec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -22,7 +23,9 @@ class Bundle:
     engine: lc.JDEngine
 
 
-def make_bundle(n_sites, coupling, *, hopping=1.0, potential=None, kernel=None):
+def make_bundle(
+    n_sites, coupling, *, hopping=1.0, potential=None, kernel=None, freq_tol=None
+):
     if potential is None:
         potential = np.zeros(n_sites)
     if kernel is None:
@@ -32,11 +35,35 @@ def make_bundle(n_sites, coupling, *, hopping=1.0, potential=None, kernel=None):
     )
     ops = lc.build_chain(chain)
     eig = lc.hermitian_eigensystem(ops.h)
-    spectrum = lc.bohr_frequencies(eig, lc.default_freq_tol(eig))
+    if freq_tol is None:
+        freq_tol = lc.default_freq_tol(eig)
+    spectrum = lc.bohr_frequencies(eig, freq_tol)
     gplus = lc.gplus_table(kernel, spectrum)
     generator = lc.build_generator(lc.decompose(ops.v, eig, spectrum), gplus, eig)
     engine = lc.build_engine(ops, eig, spectrum, gplus)
     return Bundle(ops, eig, spectrum, kernel, gplus, generator, engine)
+
+
+def superop_from_action(f, N):
+    """Reference assembler: the matrix of a linear map from its action on
+    matrix units, visited in row-major order (i outer, j inner)."""
+    M = np.zeros((N * N, N * N), dtype=complex)
+    for i in range(N):
+        for j in range(N):
+            E = np.zeros((N, N), dtype=complex)
+            E[i, j] = 1.0
+            image = np.asarray(f(E), dtype=complex)
+            if image.shape != (N, N):
+                raise lc.DimensionMismatch(
+                    f"action returned shape {image.shape}, expected {(N, N)}"
+                )
+            M[:, i + j * N] = vec(image)
+    return lc.SuperOperator(N, M)
+
+
+def components(sop):
+    """The (bins, N, N) stack of a SpectralOperator's per-bin components."""
+    return np.stack([sop.component(k) for k in range(len(sop.spectrum))])
 
 
 def random_density(rng, n):

@@ -33,6 +33,9 @@ SHORT = {
     "dynamics": dataclasses.replace(
         workloads.BY_NAME["dynamics-n20"], n_sites=4, t_final=1.0
     ),
+    "verify": dataclasses.replace(
+        workloads.BY_NAME["verify-n4-uniform"], t_final=1.0
+    ),
 }
 COUNTERS = {
     "simulate": {
@@ -43,6 +46,12 @@ COUNTERS = {
     },
     "steady": {"spectral.bins", "current.quadruples", "lindblad.generator_bytes"},
     "dynamics": {"spectral.bins", "lindblad.evolve_steps", "lindblad.generator_bytes"},
+    "verify": {
+        "spectral.bins",
+        "current.quadruples",
+        "lindblad.evolve_steps",
+        "lindblad.generator_bytes",
+    },
 }
 
 

@@ -3,13 +3,10 @@ import pytest
 
 from lindcur import (
     ChainSpec,
-    DimensionMismatch,
     LengthMismatch,
     build_chain,
-    component_at,
     decompose,
     discrete_divergence,
-    expectation_report,
     hermitian_eigensystem,
 )
 from lindcur.spectral import bohr_frequencies, default_freq_tol
@@ -70,36 +67,18 @@ def test_divergence_of_currents_has_no_static_component(ref4):
     div = discrete_divergence(ref4.ops.j_ops)
     for D in div:
         sop = decompose(D, ref4.eig, ref4.spectrum)
-        assert np.max(np.abs(component_at(sop, 0.0, ref4.spectrum))) <= 1e-12
-
-
-def test_expectation_single_site():
-    ops = _chain(3)
-    rho = np.zeros((3, 3), dtype=complex)
-    rho[1, 1] = 1.0
-    densities, currents = expectation_report(ops, rho)
-    np.testing.assert_array_equal(densities, [0.0, 1.0, 0.0])
-    np.testing.assert_array_equal(currents, [0.0, 0.0])
-
-
-def test_expectation_mixed_state():
-    ops = _chain(4)
-    densities, currents = expectation_report(ops, np.eye(4, dtype=complex) / 4.0)
-    np.testing.assert_allclose(densities, 0.25)
-    np.testing.assert_allclose(currents, 0.0, atol=1e-15)
+        static = sop.component(ref4.spectrum.index_of(0.0))
+        assert np.max(np.abs(static)) <= 1e-12
 
 
 def test_plane_wave_carries_uniform_current():
+    """Sign convention: a wave moving toward higher sites carries +current."""
     ops = _chain(4)
     psi = np.array([1.0, 1.0j, -1.0, -1.0j]) / 2.0
-    densities, currents = expectation_report(ops, np.outer(psi, psi.conj()))
-    np.testing.assert_allclose(densities, 0.25, atol=1e-15)
+    rho = np.outer(psi, psi.conj())
+    np.testing.assert_allclose(np.diag(rho).real, 0.25, atol=1e-15)
+    currents = np.array([np.trace(rho @ J).real for J in ops.j_ops])
     np.testing.assert_allclose(currents, 0.5, atol=1e-15)
-
-
-def test_expectation_rejects_wrong_shape():
-    with pytest.raises(DimensionMismatch):
-        expectation_report(_chain(3), np.eye(2, dtype=complex))
 
 
 def test_chain_validation():

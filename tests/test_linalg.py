@@ -7,11 +7,10 @@ from lindcur import (
     SuperOperator,
     hermitian_eigensystem,
     superop_adjoint,
-    superop_from_action,
 )
 from lindcur.linalg import kron_map, unvec, vec
 
-from conftest import random_hermitian
+from conftest import random_hermitian, superop_from_action
 
 
 def test_diagonal_matrix_sorted_ascending():

@@ -28,12 +28,12 @@ from lindcur import (
     gplus_table,
     pre_lindblad_generator,
     steady_state,
-    superop_from_action,
 )
+from lindcur.current import jd_observables
 from lindcur.linalg import unvec, vec
 from lindcur.reservoir import resolution_bound
 
-from conftest import make_bundle, random_density, random_hermitian
+from conftest import make_bundle, random_density, random_hermitian, superop_from_action
 
 
 def _two_level_flat(gamma=0.3, omega0=10.0):
@@ -73,8 +73,8 @@ def _per_bin_dissipator(V, gplus, eig):
     U = eig.basis
     tol = V.spectrum.bin_tolerance
     terms = [
-        (gplus.value_at(w, tol), U @ c @ U.conj().T)
-        for w, c in zip(V.spectrum.frequencies, V.components)
+        (gplus.value_at(w, tol), U @ V.component(k) @ U.conj().T)
+        for k, w in enumerate(V.spectrum.frequencies)
     ]
 
     def action(rho):
@@ -97,6 +97,31 @@ def test_closed_form_matches_per_bin_sum(request, model):
     reference = _per_bin_dissipator(bundle.engine.coupling, bundle.gplus, bundle.eig)
     diss = bundle.generator.dissipator.matrix
     assert np.max(np.abs(diss - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+ONE_BIN = {
+    "hopping_1e-12": dict(hopping=1e-12),
+    "freq_tol_50": dict(potential=[0.3, -0.1, 0.2, 0.0], freq_tol=50.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_BIN))
+def test_one_bin_spectrum(case):
+    """Every gap under the bin tolerance: one bin holds all N^2 entries, no
+    quadruple resonates, and the dissipator is the single-bin sum."""
+    bundle = make_bundle(4, [0.7, -1.1, 0.4, 0.9], **ONE_BIN[case])
+    V = bundle.engine.coupling
+    assert len(bundle.spectrum) == 1
+    np.testing.assert_array_equal(V.labels, np.zeros((4, 4), dtype=int))
+    np.testing.assert_array_equal(V.component(0), V.source)
+    assert bundle.engine.first_index.shape == bundle.engine.second_index.shape == (0, 4)
+    assert not np.any(jd_observables(bundle.engine))
+    reference = _per_bin_dissipator(V, bundle.gplus, bundle.eig)
+    diss = bundle.generator.dissipator.matrix
+    assert np.max(np.abs(diss - reference)) <= 1e-13 * np.max(np.abs(reference))
+    if case == "hopping_1e-12":
+        with pytest.raises(DegenerateKernel):
+            steady_state(bundle.generator)
 
 
 def test_identity_coupling_gives_zero_dissipator(ref4):

@@ -1,3 +1,4 @@
+import ast
 import logging
 
 import numpy as np
@@ -9,14 +10,16 @@ from lindcur import (
     MissingFrequency,
     OutOfRange,
     PointwiseUndefined,
+    PositivityViolation,
     Tabulated,
     WhiteNoise,
     bohr_frequencies,
+    build_generator,
+    decompose,
     evaluate_kernel,
     gplus_table,
     half_fourier,
     load_tabulated_csv,
-    validate_positivity,
 )
 from lindcur.reservoir import decay_rate, sample_kernel
 
@@ -115,26 +118,29 @@ def test_gplus_table_warns_on_coarse_sampling(ref4, caplog):
 
 
 def test_positivity_clean_for_exponential(ref4):
-    report = validate_positivity(ref4.kernel, ref4.spectrum)
-    assert report.ok
+    """The generator's damping-rate screen passes an exponential bath."""
+    rates = 2.0 * ref4.gplus.values.real
     np.testing.assert_allclose(
-        report.spectrum_values,
-        [2.0 * half_fourier(ref4.kernel, w).real for w in report.frequencies],
+        rates,
+        [2.0 * half_fourier(ref4.kernel, w).real for w in ref4.spectrum.frequencies],
         atol=1e-14,
     )
+    assert np.all(rates >= -1e-10)
+    build_generator(decompose(ref4.ops.v, ref4.eig, ref4.spectrum), ref4.gplus, ref4.eig)
 
 
 def test_positivity_flags_truncated_oscillatory_kernel():
-    """Hard truncation of a fast-oscillating kernel drives 2 Re gplus negative."""
+    """Hard truncation of a fast-oscillating kernel drives 2 Re gplus negative,
+    which build_generator refuses, naming the offending bins."""
     taus = np.linspace(0.0, 1.2, 400)
     tab = Tabulated(times=taus, values=np.exp(-taus) * np.cos(10.0 * taus))
-    spectrum = bohr_frequencies(
-        EigenSystem(energies=np.array([-3.0, 3.0]), basis=np.eye(2, dtype=complex)),
-        1e-9,
-    )
-    report = validate_positivity(tab, spectrum)
-    assert not report.ok
-    np.testing.assert_allclose(np.sort(report.flagged), [-6.0, 0.0, 6.0], atol=1e-9)
+    eig = EigenSystem(energies=np.array([-3.0, 3.0]), basis=np.eye(2, dtype=complex))
+    spectrum = bohr_frequencies(eig, 1e-9)
+    V = decompose(np.array([[1.0, 1.0], [1.0, -1.0]]), eig, spectrum)
+    with pytest.raises(PositivityViolation) as raised:
+        build_generator(V, gplus_table(tab, spectrum), eig)
+    flagged = ast.literal_eval(str(raised.value).split("frequencies ", 1)[1])
+    np.testing.assert_allclose(np.sort(flagged), [-6.0, 0.0, 6.0], atol=1e-9)
 
 
 def test_csv_roundtrip(tmp_path):
