@@ -23,7 +23,7 @@ against each other:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -164,15 +164,19 @@ def build_engine(
 ) -> JDEngine:
     """Decompose the bond currents and coupling and index the resonances.
 
-    The index lists the quadruples in row-major order over the sorted
-    bins, so it is deterministic.  Raises MissingFrequency when the
-    half-Fourier table does not cover the spectrum.
+    The coupling is decomposed once and the bond currents share its label
+    map, so decompose stays the one binning rule.  The index lists the
+    quadruples in row-major order over the sorted bins, so it is
+    deterministic.  Raises MissingFrequency when the half-Fourier table
+    does not cover the spectrum.
     """
     tol = spectrum.bin_tolerance
     for w in spectrum.frequencies:
         gplus.value_at(w, tol)
-    bond_sops = tuple(decompose(J, eig, spectrum) for J in ops.j_ops)
     coupling = decompose(ops.v, eig, spectrum)
+    bond_sops = tuple(
+        replace(coupling, source=eig.to_energy_basis(J)) for J in ops.j_ops
+    )
     first, second = _resonant_quadruples(spectrum)
     return JDEngine(
         bond_currents=bond_sops,
@@ -310,17 +314,21 @@ def jd_finite_time_oracle(
     (exp(i w s) - 1)/(i w), plus the s-linear zero-bin term only when
     include_zero_mode is set.  Each energy-basis entry of J_b carries the
     phase factor of its own bin (decompose's labels; no selection rule
-    enters), so every bond is traced in one contraction.  With the flag
-    off the values approach jd_expectation as t grows, with a 1/t
-    envelope.  The input checks of sampled_window apply; t must also
-    reach the averaging horizon.
+    enters), so every bond is traced in one contraction.  The inner
+    integral is triangle_convolution's per-bin running trapezoid, and the
+    window is walked in the chunks of sampled_window: each chunk's
+    trapezoid-weighted traces are added to one (N-1) total, so memory is
+    O(chunk N^2 + bins) whatever t is.  With the flag off the values
+    approach jd_expectation as t grows, with a 1/t envelope.  The input
+    checks of sampled_window apply; t must also reach the averaging
+    horizon.
     """
     rho = np.asarray(rho, dtype=complex)
     N = eig.dimension
     if rho.shape != (N, N):
         raise DimensionMismatch(f"state shape {rho.shape} vs dimension {N}")
     coupling = decompose(ops.v, eig, spectrum)
-    s, h, g, V_t = sampled_window(coupling, kernel, t, dt)
+    h, chunks = sampled_window(coupling, kernel, t, dt)
     freqs = spectrum.frequencies
     nonzero = np.abs(freqs) > spectrum.bin_tolerance
     if np.any(nonzero):
@@ -329,22 +337,22 @@ def jd_finite_time_oracle(
             raise ValueError(
                 f"t={t:.3g} is below the averaging horizon {horizon:.3g}"
             )
-    C = triangle_convolution(g, V_t, h)
     rho_en = eig.to_energy_basis(rho)
-    D = C @ rho_en @ V_t - V_t @ C @ rho_en
-
-    zfac = np.zeros((len(freqs), len(s)), dtype=complex)
-    for a, w in enumerate(freqs):
-        if nonzero[a]:
-            zfac[a] = (np.exp(1j * w * s) - 1.0) / (1j * w)
-        elif include_zero_mode:
-            zfac[a] = s
-
     J_en = eig.basis.conj().T @ np.array(ops.j_ops) @ eig.basis
-    integrand = np.einsum(
-        "bij,tji,ijt->bt", J_en, D, zfac[coupling.labels], optimize=True
-    )
-    return 2.0 * (-np.trapezoid(integrand, dx=h, axis=1) / t).real
+    i_freqs = 1j * np.where(nonzero, freqs, 1.0)
+    total = np.zeros(N - 1, dtype=complex)
+    carry = None
+    for s, w, g, phase, V_s in chunks:
+        C, carry = triangle_convolution(coupling, phase, g, V_s, h, carry)
+        CR = (C.reshape(-1, N) @ rho_en).reshape(C.shape)  # one GEMM per chunk
+        D = CR @ V_s - V_s @ CR
+        zero_mode = s[:, None] if include_zero_mode else 0.0
+        zfac = np.where(nonzero, (phase - 1.0) / i_freqs, zero_mode)
+        integrand = np.einsum(
+            "bij,tji,tij->bt", J_en, D, zfac[:, coupling.labels], optimize=True
+        )
+        total += (integrand * w).sum(axis=1)
+    return 2.0 * (-total / t).real
 
 
 def divergence_identity_check(

@@ -52,6 +52,7 @@ STABILITY_BOUND = 0.1
 POSITIVITY_FLOOR = -1e-6
 POSITIVITY_CHUNK = 64
 KERNEL_CUTOFF = 1e-10
+CHUNK_BYTES = 1 << 20  # one (chunk, N, N) complex stack of a streamed window
 
 
 @dataclass(frozen=True)
@@ -328,12 +329,19 @@ def steady_state(G: LindbladGenerator) -> np.ndarray:
 
 
 def sampled_window(V: SpectralOperator, k: CorrelationKernel, t: float, dt: float):
-    """Grid s of n = max(2, ceil(t/dt)) steps h over [0, t], the kernel g
-    on it, and the energy-basis coupling V_s there: returns (s, h, g, V_s).
+    """Grid of n = max(2, ceil(t/dt)) steps h over [0, t], streamed in chunks.
 
-    Shared by the finite-window quadratures; raises PointwiseUndefined,
-    ValueError (t or dt not positive) or StepTooCoarse (dt above
-    resolution_bound).
+    Returns (h, chunks).  chunks yields (s, w, g, phase, V_s) for
+    consecutive runs of grid points s_k = h k: w holds the outer trapezoid
+    weights (h, and h/2 at s = 0 and s = t, the ends of the whole window,
+    not of a chunk), g the kernel, phase = exp(i w s) for every bin
+    frequency w, shape (chunk, bins), and V_s the energy-basis coupling at
+    s.  A chunk holds at most CHUNK_BYTES of (chunk, N, N) complex samples,
+    so memory does not grow with the window.  Shared by the finite-window
+    quadratures.
+
+    Raises, before any sample is taken, PointwiseUndefined, ValueError (t
+    or dt not positive) or StepTooCoarse (dt above resolution_bound).
     """
     if isinstance(k, WhiteNoise):
         raise PointwiseUndefined("finite-window quadrature needs a pointwise kernel")
@@ -344,31 +352,63 @@ def sampled_window(V: SpectralOperator, k: CorrelationKernel, t: float, dt: floa
         raise StepTooCoarse(f"dt={dt:.3e} exceeds the resolution bound {bound:.3e}")
     n = max(2, math.ceil(t / dt))
     h = t / n
-    s = h * np.arange(n + 1)
-    return s, h, sample_kernel(k, s), interaction_picture_batch(V, s)
+    N = V.eig.dimension
+    size = max(1, CHUNK_BYTES // (16 * N * N))
+
+    def chunks():
+        for start in range(0, n + 1, size):
+            s = h * np.arange(start, min(start + size, n + 1))
+            w = np.full(len(s), h)
+            if start == 0:
+                w[0] = h / 2.0
+            if start + len(s) == n + 1:
+                w[-1] = h / 2.0
+            phase = np.exp(1j * np.multiply.outer(s, V.spectrum.frequencies))
+            yield s, w, sample_kernel(k, s), phase, interaction_picture_batch(V, s)
+
+    return h, chunks()
 
 
-def triangle_convolution(g: np.ndarray, V: np.ndarray, h: float) -> np.ndarray:
-    """Trapezoid of integral_0^s g(s - u) V(u) du on a uniform grid.
+def triangle_convolution(
+    V: SpectralOperator,
+    phase: np.ndarray,
+    g: np.ndarray,
+    V_s: np.ndarray,
+    h: float,
+    carry: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid of C(s) = int_0^s g(s - u) V_u du for one chunk of the grid.
 
-    g has shape (n,), V has shape (n, N, N); returns shape (n, N, N).
-    Entry i is the trapezoid rule over u in [0, s_i] sampled at the grid.
+    Entry (i, j) of V_u is exp(i w u) V_ij, with w the frequency of the
+    entry's bin, so on the grid s_k = h k
+
+        C(s_k)_ij = exp(i w s_k) V_ij * h sum'_{p <= k} g(s_p) exp(-i w s_p),
+
+    where sum' halves the terms p = 0 and p = k: one running trapezoid of
+    g(tau) exp(-i w tau) per bin, in O(bins) work per sample and with no
+    convolution.  phase, g and V_s are one chunk of sampled_window; carry
+    is the running sum returned for the previous chunk, or None when this
+    chunk starts the window at s = 0.  Returns the chunk's C, shape
+    (chunk, N, N) in the energy basis, and the carry for the next chunk.
     """
-    n = len(g)
-    size = 1 << (2 * n - 2).bit_length()  # smallest power of two >= 2n - 1
-    spectrum = np.fft.fft(V, size, axis=0)
-    spectrum *= np.fft.fft(g, size)[:, None, None]
-    full = np.fft.ifft(spectrum, axis=0)[:n]
-    corr = 0.5 * (g[:, None, None] * V[0][None, :, :] + g[0] * V)
-    out = h * (full - corr)
-    out[0] = 0.0
-    return out
+    F = g[:, None] * phase.conj()
+    if carry is None:
+        carry = np.full(F.shape[1], -0.5 * g[0])
+    running = carry + np.cumsum(F, axis=0)
+    T = h * (running - 0.5 * F)
+    return V_s * T[:, V.labels], running[-1]
 
 
 def _batched_map_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix of X -> sum_s A_s @ X @ B_s on column-stacked X."""
-    N = A.shape[-1]
-    return np.einsum("sik,slj->jilk", A, B).reshape(N * N, N * N)
+    """Matrix of X -> sum_s A_s @ X @ B_s on column-stacked X.
+
+    That is sum_s B_s^T kron A_s, formed as one matrix product over the
+    sample axis: entry [(l, j), (i, k)] of the product is
+    sum_s B_s[l, j] A_s[i, k], reordered to the row (j, i), column (l, k).
+    """
+    S, N = A.shape[0], A.shape[-1]
+    prod = B.reshape(S, N * N).T @ A.reshape(S, N * N)
+    return prod.reshape(N, N, N, N).transpose(1, 2, 0, 3).reshape(N * N, N * N)
 
 
 def pre_lindblad_generator(
@@ -382,25 +422,29 @@ def pre_lindblad_generator(
             [ g(s-u) (V_u rho V_s - V_s V_u rho)
               + conj(g(s-u)) (V_s rho V_u - rho V_u V_s) ]
 
-    with V_t the interaction-picture coupling.  The inner integral is a
-    trapezoidal convolution, the outer a trapezoid over the window; as the
-    window grows this map approaches the secular dissipator like 1/delta.
+    with V_t the interaction-picture coupling.  The inner integral is the
+    per-bin running trapezoid of triangle_convolution, the outer a
+    trapezoid over the window; as the window grows this map approaches the
+    secular dissipator like 1/delta.  The window is walked in the chunks
+    of sampled_window, so besides the N^2 x N^2 result only O(chunk N^2)
+    memory is held, whatever delta is.
     """
-    s, h, g, V_en = sampled_window(V, k, delta, dt)
+    h, chunks = sampled_window(V, k, delta, dt)
     U = V.eig.basis
-    V_t = np.einsum("ab,sbc,dc->sad", U, V_en, U.conj())
-    C = triangle_convolution(g, V_t, h)
-    Cbar = triangle_convolution(np.conj(g), V_t, h)
-    weights = np.full(len(s), h)
-    weights[0] = weights[-1] = h / 2.0
-    weights /= delta
     N = V.eig.dimension
     ident = np.eye(N, dtype=complex)
-    wC = weights[:, None, None] * C
-    wCbar = weights[:, None, None] * Cbar
-    eye_batch = np.broadcast_to(ident, V_t.shape)
-    M = _batched_map_sum(wC, V_t)
-    M -= _batched_map_sum(np.einsum("sij,sjk->sik", V_t, wC), eye_batch)
-    M += _batched_map_sum(V_t, wCbar)
-    M -= _batched_map_sum(eye_batch, np.einsum("sij,sjk->sik", wCbar, V_t))
+    M = np.zeros((N * N, N * N), dtype=complex)
+    carry = carry_bar = None
+    for _, w, g, phase, V_en in chunks:
+        C, carry = triangle_convolution(V, phase, g, V_en, h, carry)
+        Cbar, carry_bar = triangle_convolution(V, phase, np.conj(g), V_en, h, carry_bar)
+        w = (w / delta)[:, None, None]
+        V_t, wC, wCbar = (U @ X @ U.conj().T for X in (V_en, w * C, w * Cbar))
+        eye = np.broadcast_to(ident, V_t.shape)
+        # the four terms of a sample sit side by side on the summed axis, so
+        # their nearly cancelling products are added next to each other, not
+        # as four separately rounded sums
+        A = np.stack([wC, -(V_t @ wC), V_t, -eye], axis=1)
+        B = np.stack([V_t, eye, wCbar, wCbar @ V_t], axis=1)
+        M += _batched_map_sum(A.reshape(-1, N, N), B.reshape(-1, N, N))
     return SuperOperator(N, M)

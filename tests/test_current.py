@@ -64,6 +64,15 @@ def test_constraint_sets_satisfy_their_selection_rules(ref4):
         assert abs(w[aj]) > tol
 
 
+def test_engine_operators_share_the_coupling_labels(asym4):
+    engine = asym4.engine
+    for J, bond in zip(asym4.ops.j_ops, engine.bond_currents):
+        alone = decompose(J, asym4.eig, asym4.spectrum)
+        assert np.array_equal(bond.labels, alone.labels)
+        assert np.array_equal(bond.source, alone.source)
+        assert bond.labels is engine.coupling.labels
+
+
 def test_two_level_first_set_contains_expected_quadruple(two_level):
     w = two_level.spectrum.frequencies
     quadruple_values = {

@@ -395,7 +395,8 @@ def test_prelindblad_small_window_scales_linearly(two_level):
 def test_prelindblad_identity_coupling_is_zero_map(two_level):
     V = decompose(np.eye(2, dtype=complex), two_level.eig, two_level.spectrum)
     window = pre_lindblad_generator(V, two_level.kernel, 5.0, 0.004)
-    # zero up to fft round-off dust from the internal convolution
+    # zero up to round-off dust: the four terms of each sample cancel for
+    # V = I, and V is I only up to the rotation into the energy basis and back
     assert np.max(np.abs(window.matrix)) < 1e-20
 
 
