@@ -44,7 +44,7 @@ from .reservoir import (
     resolution_bound,
     sample_kernel,
 )
-from .spectral import BohrSpectrum, SpectralOperator, interaction_picture_batch
+from .spectral import BohrSpectrum, SpectralOperator
 
 logger = logging.getLogger(__name__)
 
@@ -57,7 +57,19 @@ CHUNK_BYTES = 1 << 20  # one (chunk, N, N) complex stack of a streamed window
 
 @dataclass(frozen=True)
 class LindbladGenerator:
-    """Coherent and dissipative parts of the master-equation generator."""
+    """Coherent and dissipative parts of the master-equation generator.
+
+    hamiltonian_part, dissipator and dissipator_adjoint are dense N^2 x N^2
+    matrices on column-stacked site-basis operators.  The same generator
+    is also held in the energy basis of eig, where it is block-diagonal
+    over groups of Bohr bins: block_order lists the flat energy-basis
+    positions i * N + j in block order, and blocks holds the blocks as
+    (count, m, m) stacks, one per block size m in ascending order, that
+    take consecutive runs of block_order.  Entry [b, r, c] of a stack is
+    the coefficient of the state's entry at the block's c-th position in
+    the image's entry at its r-th position.  evolve and steady_state work
+    on the blocks.
+    """
 
     dimension: int
     hamiltonian_part: SuperOperator
@@ -65,6 +77,9 @@ class LindbladGenerator:
     frequencies_used: BohrSpectrum
     gplus_used: HalfFourierTable
     dissipator_adjoint: SuperOperator = field(repr=False)
+    eig: EigenSystem = field(repr=False)
+    block_order: np.ndarray = field(repr=False)
+    blocks: tuple = field(repr=False)
 
     def full_matrix(self) -> np.ndarray:
         return self.hamiltonian_part.matrix + self.dissipator.matrix
@@ -115,6 +130,10 @@ def build_generator(
 ) -> LindbladGenerator:
     """Assemble the generator from the coupling components and bath table.
 
+    The dense site-basis matrices are assembled in one pass over all bins,
+    and the energy-basis blocks straight from V's label map (see
+    _bohr_blocks).
+
     Raises MissingFrequency when the table lacks a bin of V's spectrum and
     PositivityViolation when any damping rate 2 Re gplus is negative beyond
     positivity_tol.
@@ -140,13 +159,21 @@ def build_generator(
     comps = np.zeros((len(spectrum), N, N), dtype=complex)
     comps[V.labels, rows, cols] = V.source
     Vs = U @ comps @ U.conj().T
-    K = np.einsum("k,kij,klj->il", rates, Vs, Vs.conj())
+    # K = sum_w g_w V_w V_w^dag; in the energy basis only entries (i, m)
+    # and (k, m) of one bin meet: K_ik = sum_m g V_im conj(V_km) over
+    # labels[i, m] == labels[k, m]
+    same_bin = V.labels[:, None, :] == V.labels[None, :, :]
+    K = np.einsum(
+        "ikm,im,km->ik", same_bin, rates[V.labels] * V.source, V.source.conj()
+    )
+    K_site = U @ K @ U.conj().T
     # entry [a, c, b, d] is the coefficient of rho[d, b] in out[c, a]
     jump = np.einsum(
         "k,kba,kdc->acbd", 2.0 * rates.real, Vs, Vs.conj(), optimize=True
     ).reshape(N * N, N * N)
-    diss = jump - kron_map(K, ident) - kron_map(ident, K.conj().T)
+    diss = jump - kron_map(K_site, ident) - kron_map(ident, K_site.conj().T)
     dissipator = SuperOperator(N, diss)
+    block_order, blocks = _bohr_blocks(V, rates, K, H.energies)
     return LindbladGenerator(
         dimension=N,
         hamiltonian_part=SuperOperator(N, ham),
@@ -154,7 +181,103 @@ def build_generator(
         frequencies_used=spectrum,
         gplus_used=gplus,
         dissipator_adjoint=superop_adjoint(dissipator),
+        eig=H,
+        block_order=block_order,
+        blocks=blocks,
     )
+
+
+def _same_label_pairs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (p, q) of flat positions with labels p and q equal.
+
+    The positions are sorted by label, and each one is repeated once per
+    member of its label group and paired with that group's members in turn.
+    """
+    flat = labels.ravel()
+    order = np.argsort(flat, kind="stable")
+    counts = np.bincount(flat)
+    reps = counts[flat[order]]
+    group_start = np.repeat(np.cumsum(counts)[flat[order]] - reps, reps)
+    within = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    return np.repeat(order, reps), order[group_start + within]
+
+
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Smallest node of the connected component of each of the nodes 0..n-1
+    of the graph with edges (u, v): propagation of the minimum along the
+    edges, with pointer jumping, until nothing changes."""
+    root = np.arange(n)
+    while True:
+        low = root.copy()
+        np.minimum.at(low, root[u], root[v])
+        np.minimum.at(low, root[v], root[u])
+        low = low[low]
+        if np.array_equal(low, root):
+            return root
+        root = low
+
+
+def _bohr_blocks(
+    V: SpectralOperator, rates: np.ndarray, K: np.ndarray, energies: np.ndarray
+):
+    """The generator in the energy basis as (block_order, blocks).
+
+    In the energy basis the secular generator maps rho_kl to rho_ij through
+
+        jump term     2 Re g_b conj(V_ki) V_lj,  labels[k, i] == labels[l, j] == b
+        K rho         -K_ik when l == j
+        rho K^dag     -conj(K_jl) when k == i
+        Hamiltonian   -i (E_i - E_j) when (k, l) == (i, j)
+
+    with g_b = rates[b] and K, in the energy basis, nonzero only where
+    labels[i, m] == labels[k, m] for some m.
+    The blocks start as the groups of pairs with one bin label.  Groups are
+    merged wherever one of these terms can connect them: a jump-term
+    coupling, or an off-diagonal entry of K's pattern.  For a tolerance
+    wide enough to bin distinct gaps together, label groups alone are not
+    closed under the generator, and the merge keeps the blocks exact.
+    Every step is vectorised over pairs and label groups.
+    """
+    N = len(energies)
+    labels, src = V.labels, V.source
+    first, second = _same_label_pairs(labels)
+    k, i = np.divmod(first, N)
+    l, j = np.divmod(second, N)
+    # off-diagonal pattern of K: rows a, c that share a label in one column
+    shared = (i == j) & (k != l)
+    a, c = k[shared], l[shared]
+    u = np.concatenate([labels[k, l], labels[a].ravel(), labels[:, a].ravel()])
+    v = np.concatenate([labels[i, j], labels[c].ravel(), labels[:, c].ravel()])
+    group = _components(len(rates), u, v)[labels.ravel()]
+    size = np.bincount(group)[group]
+    block_order = np.lexsort((np.arange(N * N), group, size))
+    gamma = 2.0 * rates.real
+    blocks = []
+    start = 0
+    for m in np.flatnonzero(np.bincount(size)):
+        stop = start + int(np.sum(size == m))
+        pos = block_order[start:stop].reshape(-1, m)
+        i, j = np.divmod(pos[:, :, None], N)
+        k, l = np.divmod(pos[:, None, :], N)
+        bin_ki = labels[k, i]
+        B = np.where(
+            bin_ki == labels[l, j], gamma[bin_ki] * src[k, i].conj() * src[l, j], 0.0
+        )
+        B -= np.where(l == j, K[i, k], 0.0) + np.where(k == i, K[j, l].conj(), 0.0)
+        B -= np.where((k == i) & (l == j), 1j * (energies[i] - energies[j]), 0.0)
+        blocks.append(B)
+        start = stop
+    return block_order, tuple(blocks)
+
+
+def _block_runs(G: LindbladGenerator):
+    """(part, B) for each stack B of G.blocks, with part the slice of
+    G.block_order that the stack's blocks take."""
+    start = 0
+    for B in G.blocks:
+        stop = start + B.shape[0] * B.shape[1]
+        yield slice(start, stop), B
+        start = stop
 
 
 def apply_adjoint(G: LindbladGenerator, A: np.ndarray) -> np.ndarray:
@@ -172,29 +295,29 @@ def apply_adjoint(G: LindbladGenerator, A: np.ndarray) -> np.ndarray:
 
 
 def _rk4_step_matrix(M: np.ndarray, h: float) -> np.ndarray:
-    """RK4's stability polynomial I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24.
+    """RK4's stability polynomial I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24
+    of each square matrix in the stack M, shape (..., m, m).
 
     Built in Horner form, I + hM(I + hM/2(I + hM/3(I + hM/4))), with three
-    products.  M is overwritten by hM; besides it, two N^2 x N^2 buffers
-    are held during the build, and one of them is returned.
+    batched products.  M is left as it is.
     """
-    M *= h
-    diag = np.diag_indices_from(M)
+    M = h * M
+    diag = np.arange(M.shape[-1])
     P = M / 4.0
-    P[diag] += 1.0
+    P[..., diag, diag] += 1.0
     spare = np.empty_like(P)
     for k in (3.0, 2.0, 1.0):
         np.matmul(M, P, out=spare)
         spare /= k
-        spare[diag] += 1.0
+        spare[..., diag, diag] += 1.0
         P, spare = spare, P
     return P
 
 
-def _guard_positivity(chunk: list, first: int, h: float) -> None:
+def _guard_positivity(chunk: np.ndarray, first: int, h: float) -> None:
     """Raise PositivityLost for the earliest chunk[i], the stored state
     first + i, whose lowest eigenvalue is below POSITIVITY_FLOOR."""
-    lows = np.linalg.eigvalsh(np.array(chunk)).min(axis=1)
+    lows = np.linalg.eigvalsh(chunk).min(axis=1)
     bad = np.flatnonzero(lows < POSITIVITY_FLOOR)
     if len(bad):
         i = int(bad[0])
@@ -209,36 +332,40 @@ def evolve(
     The generator is linear, so one RK4 step of size h is exactly the
     product with RK4's stability polynomial of hM,
 
-        P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24,
+        P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24.
 
-    and P is formed once: each step is then one mat-vec instead of four.
-    The truncation error and the stability bound are RK4's; the states
-    differ from a four-stage loop only by rounding.  Building P takes
-    three N^2 x N^2 matrix products and holds M = G.full_matrix() plus
-    two more N^2 x N^2 complex buffers; only P outlives the build.  Each
-    step saves three mat-vecs, so P pays for itself after about as many
-    steps as one product costs mat-vecs: about 100-120 at N = 20 and
-    about 240-270 at N = 40 (one BLAS thread).
+    A polynomial of a block-diagonal matrix is block-diagonal, so P is
+    formed block by block from G.blocks, and the state is kept in the
+    energy basis, in block order.  A step is one batched mat-vec per
+    block size, a gather of each entry's mirror (i, j) -> (j, i) to
+    re-Hermitize, and a sum over the diagonal positions for the trace: a
+    fixed number of numpy calls however many blocks there are, and
+    O(sum of m^2) work over the blocks m x m (O(N^2) on a chain with
+    distinct gaps, where every block but the N x N population block is
+    1 x 1).  The truncation error and the stability bound are RK4's; the
+    states differ from a four-stage loop on the dense matrix only by
+    rounding.
 
     Stores the state at every step.  Each stored state is re-Hermitized and
     trace-renormalized; the applied correction magnitudes are recorded in
-    the trajectory so drift never disappears silently.  Positivity is
-    checked on the stored states in chunks of POSITIVITY_CHUNK with one
-    batched eigvalsh, so at most that many steps are taken past a state
-    that has lost it.
+    the trajectory so drift never disappears silently (the Hermiticity
+    correction is measured in the energy basis).  The steps are taken in
+    chunks of POSITIVITY_CHUNK.  After each chunk positivity is checked
+    with one batched eigvalsh, so at most that many steps are taken past a
+    state that has lost it; then the chunk is rotated to the site basis and
+    Hermitized there.  Besides the stored states, memory is O(chunk N^2).
 
     Raises ValueError for dt <= 0 or t_final < 0 (before any matrix is
-    built), StepTooLarge when dt violates the stability bound, and
-    PositivityLost for the first state with an eigenvalue below
-    POSITIVITY_FLOOR.
+    built), StepTooLarge when dt violates the stability bound
+    dt * ||G.full_matrix()||_inf <= STABILITY_BOUND, and PositivityLost for
+    the first state with an eigenvalue below POSITIVITY_FLOOR.
     """
     rho0 = validate_density(rho0, G.dimension)
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
-    M = G.full_matrix()
-    norm = float(np.linalg.norm(M, np.inf))
+    norm = float(np.linalg.norm(G.full_matrix(), np.inf))
     if dt * norm > STABILITY_BOUND:
         raise StepTooLarge(
             f"dt * ||generator|| = {dt * norm:.3e} exceeds {STABILITY_BOUND}"
@@ -252,53 +379,96 @@ def evolve(
         )
     n_steps = max(1, math.ceil(t_final / dt - 1e-12))
     h = t_final / n_steps
-    P = _rk4_step_matrix(M, h)
-    del M
+    N = G.dimension
+    order = G.block_order
+    where = np.empty_like(order)
+    where[order] = np.arange(N * N)
+    mirror = where[(order % N) * N + order // N]
+    on_diagonal = np.zeros(N * N, dtype=complex)
+    on_diagonal[where[:: N + 1]] = 1.0
+    # the state x and its image y under the step, with a view of each run
+    # of equal-size blocks
+    x = G.eig.to_energy_basis(rho0).ravel()[order]
+    y = np.empty_like(x)
+    x_real = x.view(float)
+    steps = []
+    for part, B in _block_runs(G):
+        P = _rk4_step_matrix(B, h)
+        if B.shape[1] == 1:  # 1 x 1 blocks scale their entries
+            steps.append((np.multiply, P.ravel(), x[part], y[part]))
+        else:
+            shape = (*B.shape[:2], 1)
+            x_part, y_part = x[part].reshape(shape), y[part].reshape(shape)
+            steps.append((np.matmul, P, x_part, y_part))
+    U = G.eig.basis
     states = [rho0.copy()]
-    herm_defects = [0.0]
-    trace_defects = [0.0]
-    checked = 1
-    r = vec(rho0)
-    for step in range(1, n_steps + 1):
-        rho = unvec(P @ r, G.dimension)
-        herm = float(np.max(np.abs(rho - rho.conj().T)))
-        rho = (rho + rho.conj().T) / 2.0
-        tr = float(np.trace(rho).real)
-        trace_defects.append(abs(tr - 1.0))
-        herm_defects.append(herm)
-        rho = rho / tr
-        states.append(rho)
-        if step - checked + 1 == POSITIVITY_CHUNK or step == n_steps:
-            _guard_positivity(states[checked:], checked, h)
-            checked = step + 1
-        r = vec(rho)
+    herm_defects = [np.zeros(1)]
+    trace_defects = [np.zeros(1)]
+    for first in range(1, n_steps + 1, POSITIVITY_CHUNK):
+        size = min(POSITIVITY_CHUNK, n_steps + 1 - first)
+        raw = np.empty((size, N * N), dtype=complex)
+        done = np.empty((size, N * N), dtype=complex)
+        traces = np.empty(size)
+        for s in range(size):
+            for apply, P, x_part, y_part in steps:
+                apply(P, x_part, out=y_part)
+            raw[s] = y
+            # twice the Hermitian part, then one division for both the
+            # halving and the trace; dividing the real view by the real
+            # trace rounds as a complex division by it does
+            np.add(y, y[mirror].conj(), out=x)
+            traces[s] = tr = np.dot(on_diagonal, x).real
+            x_real /= tr
+            done[s] = x
+        herm_defects.append(np.max(np.abs(raw - raw[:, mirror].conj()), axis=1))
+        trace_defects.append(np.abs(traces / 2.0 - 1.0))
+        energy = np.empty_like(done)
+        energy[:, order] = done
+        energy = energy.reshape(size, N, N)
+        _guard_positivity(energy, first, h)
+        site = U @ energy @ U.conj().T
+        states.extend((site + site.conj().transpose(0, 2, 1)) / 2.0)
+    herm_defects = np.concatenate(herm_defects)
+    trace_defects = np.concatenate(trace_defects)
     times = h * np.arange(n_steps + 1)
     logger.debug(
         "evolve: %d steps, max herm defect %.3e, max trace defect %.3e",
         n_steps,
-        max(herm_defects),
-        max(trace_defects),
+        herm_defects.max(),
+        trace_defects.max(),
     )
     return Trajectory(
         times=times,
         states=states,
-        herm_defects=np.array(herm_defects),
-        trace_defects=np.array(trace_defects),
+        herm_defects=herm_defects,
+        trace_defects=trace_defects,
     )
 
 
 def steady_state(G: LindbladGenerator) -> np.ndarray:
-    """Stationary state from the kernel of the full generator matrix.
+    """Stationary state from the kernel of the generator's blocks.
 
-    The kernel must be one-dimensional (singular values <= 1e-10 counted);
-    otherwise DegenerateKernel is raised.  The kernel vector is Hermitized
-    and trace-normalized, and its residual and positivity are verified.
+    The singular values of the generator are those of its blocks, so the
+    kernel is counted over the blocks' SVDs (singular values <= 1e-10).
+    It must be one-dimensional; otherwise DegenerateKernel is raised.  On a
+    chain with distinct gaps the kernel lies in the N x N population
+    block, so this costs O(N^3) where the dense SVD costs O(N^6).  The
+    kernel vector is rotated to the site basis, Hermitized and
+    trace-normalized; its residual against G.full_matrix() and its
+    positivity are verified.
     """
-    M = G.full_matrix()
-    try:
-        _, svals, vh = np.linalg.svd(M)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    N = G.dimension
+    svals = []
+    kernel = np.zeros(N * N, dtype=complex)
+    for part, B in _block_runs(G):
+        try:
+            _, s, vh = np.linalg.svd(B)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(str(exc)) from exc
+        svals.append(s.ravel())
+        null = s[:, -1] <= KERNEL_CUTOFF
+        kernel[G.block_order[part].reshape(B.shape[:2])[null]] = vh[null, -1].conj()
+    svals = np.concatenate(svals)
     n_kernel = int(np.sum(svals <= KERNEL_CUTOFF))
     if n_kernel >= 2:
         raise DegenerateKernel(
@@ -307,15 +477,16 @@ def steady_state(G: LindbladGenerator) -> np.ndarray:
         )
     if n_kernel == 0:
         raise DegenerateKernel(
-            f"smallest singular value {svals[-1]:.3e} is not numerically zero"
+            f"smallest singular value {svals.min():.3e} is not numerically zero"
         )
-    rho = unvec(vh[-1].conj(), G.dimension)
+    rho = G.eig.to_site_basis(kernel.reshape(N, N))
     rho = (rho + rho.conj().T) / 2.0
     tr = complex(np.trace(rho))
     if abs(tr) < 1e-8:
         raise DegenerateKernel("kernel vector is traceless; no stationary state")
     rho = rho / tr.real if abs(tr.imag) < abs(tr.real) else rho / tr
     rho = np.asarray(rho, dtype=complex)
+    M = G.full_matrix()
     residual = float(np.linalg.norm(M @ vec(rho)))
     bound = 1e-10 * float(np.linalg.norm(M))
     if residual > bound:
@@ -364,7 +535,8 @@ def sampled_window(V: SpectralOperator, k: CorrelationKernel, t: float, dt: floa
             if start + len(s) == n + 1:
                 w[-1] = h / 2.0
             phase = np.exp(1j * np.multiply.outer(s, V.spectrum.frequencies))
-            yield s, w, sample_kernel(k, s), phase, interaction_picture_batch(V, s)
+            # entry (i, j) of V_s carries the phase of its own bin
+            yield s, w, sample_kernel(k, s), phase, phase[:, V.labels] * V.source
 
     return h, chunks()
 

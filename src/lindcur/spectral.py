@@ -142,12 +142,3 @@ def decompose(A: np.ndarray, eig: EigenSystem, spectrum: BohrSpectrum) -> Spectr
         source=eig.to_energy_basis(A), labels=labels, spectrum=spectrum, eig=eig
     )
 
-
-def interaction_picture_batch(sop: SpectralOperator, taus: np.ndarray) -> np.ndarray:
-    """sum_w exp(i w tau) A_w in the energy basis for each tau; (T, N, N).
-
-    Each entry carries the phase of its own bin, so this is one
-    elementwise product per time.
-    """
-    gaps = sop.spectrum.frequencies[sop.labels]
-    return np.exp(1j * np.multiply.outer(taus, gaps)) * sop.source

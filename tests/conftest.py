@@ -5,6 +5,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import reject
+from hypothesis import strategies as st
 
 import lindcur as lc
 from lindcur.linalg import vec
@@ -44,6 +46,46 @@ def make_bundle(
     return Bundle(ops, eig, spectrum, kernel, gplus, generator, engine)
 
 
+def _tabulated_exponential(gamma, kappa):
+    t = np.linspace(0.0, 8.0, 801)
+    return lc.Tabulated(t, gamma * np.exp(-kappa * t))
+
+
+BATHS = {
+    "exponential": lambda: lc.Exponential(gamma=0.1, kappa=5.0),
+    "exponential_shifted": lambda: lc.Exponential(gamma=0.1, kappa=5.0, omega=0.7),
+    "white": lambda: lc.WhiteNoise(0.2),
+    "tabulated": lambda: _tabulated_exponential(0.1, 2.0),
+}
+
+
+@st.composite
+def chain_models(draw, hoppings=None):
+    """Chains of 2-6 sites: zero, random or mirror-symmetric potentials,
+    couplings with some zero sites, and each bath kind.
+
+    The hopping is 1 unless a strategy for it is given; a drawn hopping so
+    small that the default tolerance cannot bin the gaps is rejected.
+    """
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    potential = {
+        "zero": np.zeros(n),
+        "random": rng.normal(0.0, 0.3, n),
+        "mirror": (lambda p: (p + p[::-1]) / 2.0)(rng.normal(0.0, 0.3, n)),
+    }[draw(st.sampled_from(["zero", "random", "mirror"]))]
+    coupling = rng.uniform(-1.0, 1.0, n)
+    coupling[draw(st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True))] = 0.0
+    kernel = BATHS[draw(st.sampled_from(sorted(BATHS)))]()
+    hopping = 1.0 if hoppings is None else draw(hoppings)
+    try:
+        return make_bundle(
+            n, coupling, hopping=hopping, potential=potential, kernel=kernel
+        )
+    except lc.BinCollision:
+        reject()
+
+
 def superop_from_action(f, N):
     """Reference assembler: the matrix of a linear map from its action on
     matrix units, visited in row-major order (i outer, j inner)."""
@@ -64,6 +106,17 @@ def superop_from_action(f, N):
 def components(sop):
     """The (bins, N, N) stack of a SpectralOperator's per-bin components."""
     return np.stack([sop.component(k) for k in range(len(sop.spectrum))])
+
+
+def interaction_picture_batch(sop, taus):
+    """sum_w exp(i w tau) A_w in the energy basis for each tau; (T, N, N).
+
+    Each entry carries the phase of its own bin, so this is one elementwise
+    product per time.  The reference for the V_s that sampled_window
+    gathers from its per-bin phases.
+    """
+    gaps = sop.spectrum.frequencies[sop.labels]
+    return np.exp(1j * np.multiply.outer(taus, gaps)) * sop.source
 
 
 def random_density(rng, n):

@@ -33,6 +33,14 @@ SHORT = {
     "dynamics": dataclasses.replace(
         workloads.BY_NAME["dynamics-n20"], n_sites=4, t_final=1.0
     ),
+    # zero potential: bins hold several coherences, so the generator has
+    # blocks larger than one besides the population block
+    "dynamics-uniform": dataclasses.replace(
+        workloads.BY_NAME["dynamics-n20"],
+        n_sites=4,
+        t_final=1.0,
+        random_potential=False,
+    ),
     "verify": dataclasses.replace(
         workloads.BY_NAME["verify-n4-uniform"], t_final=1.0
     ),
@@ -55,9 +63,10 @@ COUNTERS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(SHORT))
-def test_traced_child_run_passes_the_gate(tmp_path, command):
-    workload = SHORT[command]
+@pytest.mark.parametrize("case", sorted(SHORT))
+def test_traced_child_run_passes_the_gate(tmp_path, case):
+    workload = SHORT[case]
+    command = workload.command
     config = workloads.write_config(workload, 0, str(tmp_path))
     spec = {
         "command": command,

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from lindcur import (
     BohrSpectrum,
     DimensionMismatch,
-    Exponential,
     IndexOutOfRange,
     PointwiseUndefined,
     StepTooCoarse,
-    Tabulated,
     WhiteNoise,
     apply_adjoint,
     build_engine,
@@ -31,7 +29,7 @@ from lindcur.current import _resonant_quadruples, jd_observables
 from lindcur.lattice import ChainSpec, build_chain
 from lindcur.reservoir import resolution_bound
 
-from conftest import components, make_bundle, random_density
+from conftest import chain_models, components, make_bundle, random_density
 
 # cross-checked against the running-sum construction and the finite-time
 # quadrature; the initial state is the site-0 projector
@@ -412,36 +410,6 @@ def _probe_observables(engine):
         obs[:, i, j] = (sym + 1j * asym) / 2.0
         obs[:, j, i] = (sym - 1j * asym) / 2.0
     return obs
-
-
-def _tabulated_exponential(gamma, kappa):
-    t = np.linspace(0.0, 8.0, 801)
-    return Tabulated(t, gamma * np.exp(-kappa * t))
-
-
-BATHS = {
-    "exponential": lambda: Exponential(gamma=0.1, kappa=5.0),
-    "exponential_shifted": lambda: Exponential(gamma=0.1, kappa=5.0, omega=0.7),
-    "white": lambda: WhiteNoise(0.2),
-    "tabulated": lambda: _tabulated_exponential(0.1, 2.0),
-}
-
-
-@st.composite
-def chain_models(draw):
-    """Chains of 2-6 sites: zero, random or mirror-symmetric potentials,
-    couplings with some zero sites, and each bath kind."""
-    n = draw(st.integers(2, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    potential = {
-        "zero": np.zeros(n),
-        "random": rng.normal(0.0, 0.3, n),
-        "mirror": (lambda p: (p + p[::-1]) / 2.0)(rng.normal(0.0, 0.3, n)),
-    }[draw(st.sampled_from(["zero", "random", "mirror"]))]
-    coupling = rng.uniform(-1.0, 1.0, n)
-    coupling[draw(st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True))] = 0.0
-    kernel = BATHS[draw(st.sampled_from(sorted(BATHS)))]()
-    return make_bundle(n, coupling, potential=potential, kernel=kernel)
 
 
 @PROPERTY_SETTINGS

@@ -1,22 +1,25 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lindcur import (
+    BohrSpectrum,
     DegenerateKernel,
     EigenSystem,
     Exponential,
     HalfFourierTable,
     MissingFrequency,
+    NoConvergence,
     PointwiseUndefined,
     PositivityLost,
     PositivityViolation,
+    SpectralOperator,
     StepTooCoarse,
     StepTooLarge,
-    SuperOperator,
     Trajectory,
     WhiteNoise,
     apply_adjoint,
@@ -31,9 +34,16 @@ from lindcur import (
 )
 from lindcur.current import jd_observables
 from lindcur.linalg import unvec, vec
+from lindcur.lindblad import KERNEL_CUTOFF, _block_runs
 from lindcur.reservoir import resolution_bound
 
-from conftest import make_bundle, random_density, random_hermitian, superop_from_action
+from conftest import (
+    chain_models,
+    make_bundle,
+    random_density,
+    random_hermitian,
+    superop_from_action,
+)
 
 
 def _two_level_flat(gamma=0.3, omega0=10.0):
@@ -119,9 +129,142 @@ def test_one_bin_spectrum(case):
     reference = _per_bin_dissipator(V, bundle.gplus, bundle.eig)
     diss = bundle.generator.dissipator.matrix
     assert np.max(np.abs(diss - reference)) <= 1e-13 * np.max(np.abs(reference))
+    assert [B.shape for B in bundle.generator.blocks] == [(1, 16, 16)]
     if case == "hopping_1e-12":
         with pytest.raises(DegenerateKernel):
             steady_state(bundle.generator)
+
+
+def _non_closed():
+    """A tolerance wide enough to bin distinct gaps together.
+
+    bohr_frequencies accepts it and gives three bins, but the generator
+    couples pairs of different bins: grouping pairs by bin label alone does
+    not give closed blocks.
+    """
+    eig = EigenSystem(
+        energies=np.array([-0.9297, -0.75, -0.6817, -0.5686]),
+        basis=np.eye(4, dtype=complex),
+    )
+    spectrum = bohr_frequencies(eig, 0.2821)
+    A = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 4))
+    V = decompose((A + A.T) / 2.0, eig, spectrum)
+    return build_generator(V, gplus_table(WhiteNoise(0.3), spectrum), eig)
+
+
+def _uniform6():
+    """Zero potential: mirrored levels give degenerate gaps, so bins hold
+    several coherences and the blocks are larger than one."""
+    return make_bundle(6, [0.7, -1.1, 0.4, 0.9, 0.3, -0.6]).generator
+
+
+def _random8():
+    chain = np.random.default_rng(8)
+    return make_bundle(
+        8, chain.uniform(-1.0, 1.0, 8), potential=chain.normal(0.0, 0.3, 8)
+    ).generator
+
+
+MODELS = {
+    "asym4": lambda request: request.getfixturevalue("asym4").generator,
+    "ref4": lambda request: request.getfixturevalue("ref4").generator,
+    "two_level_flat": lambda request: _two_level_flat()[0],
+    "random8": lambda request: _random8(),
+    "uniform6": lambda request: _uniform6(),
+    "non_closed": lambda request: _non_closed(),
+    "silent": lambda request: make_bundle(3, np.zeros(3)).generator,
+    **{
+        f"one_bin_{case}": lambda request, case=case: make_bundle(
+            4, [0.7, -1.1, 0.4, 0.9], **ONE_BIN[case]
+        ).generator
+        for case in ONE_BIN
+    },
+}
+
+
+def _energy_basis_matrix(G):
+    """G.full_matrix() rotated into the energy basis, on the row-major flat
+    positions i N + j of the state."""
+    N = G.dimension
+    U = G.eig.basis
+    # column-stacked: vec(U^dag X U) = (U^T kron U^dag) vec(X)
+    T = np.kron(U.T, U.conj().T)
+    M = T @ G.full_matrix() @ T.conj().T
+    stacked = np.arange(N * N).reshape(N, N).T.ravel()
+    return M[np.ix_(stacked, stacked)]
+
+
+def _block_matrix(G):
+    """The N^2 x N^2 matrix that G.blocks describe, zero outside the blocks."""
+    N = G.dimension
+    out = np.zeros((N * N, N * N), dtype=complex)
+    for part, B in _block_runs(G):
+        pos = G.block_order[part].reshape(B.shape[:2])
+        out[pos[:, :, None], pos[:, None, :]] = B
+    assert part.stop == N * N
+    return out
+
+
+def _assert_blocks_match_dense(G):
+    N = G.dimension
+    np.testing.assert_array_equal(np.sort(G.block_order), np.arange(N * N))
+    sizes = [B.shape[1] for B in G.blocks]
+    assert sizes == sorted(set(sizes))
+    want = _energy_basis_matrix(G)
+    assert np.max(np.abs(_block_matrix(G) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_blocks_equal_the_rotated_dense_generator(request, model):
+    _assert_blocks_match_dense(MODELS[model](request))
+
+
+def test_label_groups_alone_are_not_closed():
+    G = _non_closed()
+    assert len(G.frequencies_used) == 3
+    M = _energy_basis_matrix(G)
+    w = G.eig.energies
+    labels = G.frequencies_used.nearest(w[:, None] - w[None, :]).ravel()
+    across = labels[:, None] != labels[None, :]
+    assert np.max(np.abs(M[across])) > 0.1 * np.max(np.abs(M))
+    assert [B.shape for B in G.blocks] == [(1, 16, 16)]
+
+
+@settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(chain_models(hoppings=st.sampled_from([1.0, 1e-3, 1e-6, 1e-12])))
+def test_blocks_equal_the_rotated_dense_generator_on_generated_chains(bundle):
+    _assert_blocks_match_dense(bundle.generator)
+
+
+@st.composite
+def label_maps(draw):
+    """Any label map, not only the nearest-bin one: the blocks must be exact
+    whichever pairs share a bin."""
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bins = draw(st.integers(1, n * n))
+    eig = EigenSystem(
+        energies=np.sort(rng.uniform(-1.0, 1.0, n)), basis=np.eye(n, dtype=complex)
+    )
+    spectrum = BohrSpectrum(frequencies=np.arange(bins, dtype=float), bin_tolerance=0.1)
+    source = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    V = SpectralOperator(source, rng.integers(0, bins, (n, n)), spectrum, eig)
+    table = HalfFourierTable(
+        frequencies=spectrum.frequencies,
+        values=rng.uniform(0.1, 1.0, bins) + 1j * rng.normal(size=bins),
+    )
+    return build_generator(V, table, eig)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(label_maps())
+def test_blocks_are_exact_for_any_label_map(G):
+    _assert_blocks_match_dense(G)
 
 
 def test_identity_coupling_gives_zero_dissipator(ref4):
@@ -308,20 +451,18 @@ def _site_state(n, site=0):
     return rho
 
 
-@pytest.mark.parametrize("model", ["asym4", "ref4", "two_level_flat", "random8"])
+@pytest.mark.parametrize(
+    "model", ["asym4", "ref4", "two_level_flat", "random8", "uniform6", "non_closed"]
+)
 def test_step_matrix_matches_stage_loop(request, model, rng):
+    G = MODELS[model](request)
+    N = G.dimension
     if model == "two_level_flat":
-        G, _ = _two_level_flat()
         rho0, t_final, dt = np.diag([1.0, 0.0]).astype(complex), 2.0, 0.004
-    elif model == "random8":
-        chain = np.random.default_rng(8)
-        bundle = make_bundle(
-            8, chain.uniform(-1.0, 1.0, 8), potential=chain.normal(0.0, 0.3, 8)
-        )
-        G, rho0, t_final, dt = bundle.generator, random_density(rng, 8), 3.0, 0.01
+    elif model in ("random8", "non_closed"):
+        rho0, t_final, dt = random_density(rng, N), 3.0, 0.01
     else:
-        G = request.getfixturevalue(model).generator
-        rho0, t_final, dt = _site_state(4), 5.0, 0.01
+        rho0, t_final, dt = _site_state(N), 5.0, 0.01
     got = evolve(G, rho0, t_final, dt)
     want = _rk4_stage_loop(G, rho0, t_final, dt)
     np.testing.assert_array_equal(got.times, want.times)
@@ -349,16 +490,60 @@ def test_evolve_is_fourth_order(asym4):
 def test_positivity_guard_stops_at_first_bad_state():
     """A negated dissipator drives a population through zero mid-run.
 
-    The first bad state is step 671; t = 2.7 ends it in the last, partial
-    chunk of the positivity check, t = 50 in a full one.
+    The bad generator is built from the bath table with every value
+    negated, so its dissipator is exactly -D and its blocks follow.  The
+    first bad state is step 671; t = 2.7 ends it in the last, partial chunk
+    of the positivity check, t = 50 in a full one.
     """
-    G, _ = _two_level_flat()
-    bad = dataclasses.replace(G, dissipator=SuperOperator(2, -G.dissipator.matrix))
+    G, eig = _two_level_flat()
+    V = decompose(np.array([[0.0, 1.0], [1.0, 0.0]]), eig, G.frequencies_used)
+    negated = HalfFourierTable(
+        frequencies=G.gplus_used.frequencies, values=-G.gplus_used.values
+    )
+    bad = build_generator(V, negated, eig, positivity_tol=np.inf)
+    np.testing.assert_array_equal(bad.dissipator.matrix, -G.dissipator.matrix)
     rho0 = np.diag([0.6, 0.4]).astype(complex)
     for t_final in (2.7, 50.0):
         with pytest.raises(PositivityLost, match=r"^eigenvalue -4\.813e-04 at t=2\.684$"):
             evolve(bad, rho0, t_final, 0.004)
     evolve(bad, rho0, 2.0, 0.004)
+
+
+def _svd_steady_state(G):
+    """The stationary state from the SVD of the dense generator, the route
+    that the blocks' SVDs replaced."""
+    M = G.full_matrix()
+    _, svals, vh = np.linalg.svd(M)
+    n_kernel = int(np.sum(svals <= KERNEL_CUTOFF))
+    if n_kernel != 1:
+        raise DegenerateKernel(f"{n_kernel} singular values below {KERNEL_CUTOFF}")
+    rho = unvec(vh[-1].conj(), G.dimension)
+    rho = (rho + rho.conj().T) / 2.0
+    tr = complex(np.trace(rho))
+    if abs(tr) < 1e-8:
+        raise DegenerateKernel("kernel vector is traceless; no stationary state")
+    rho = rho / tr.real if abs(tr.imag) < abs(tr.real) else rho / tr
+    residual = float(np.linalg.norm(M @ vec(rho)))
+    if residual > 1e-10 * float(np.linalg.norm(M)):
+        raise NoConvergence(f"stationary residual {residual:.3e}")
+    return rho
+
+
+@pytest.mark.parametrize(
+    "model", ["asym4", "two_level_flat", "random8", "uniform6", "non_closed"]
+)
+def test_block_steady_state_matches_dense_svd(request, model):
+    G = MODELS[model](request)
+    assert np.max(np.abs(steady_state(G) - _svd_steady_state(G))) <= 1e-12
+
+
+@pytest.mark.parametrize("model", ["ref4", "silent", "one_bin_hopping_1e-12"])
+def test_block_steady_state_refuses_what_the_dense_svd_refuses(request, model):
+    G = MODELS[model](request)
+    with pytest.raises(DegenerateKernel):
+        _svd_steady_state(G)
+    with pytest.raises(DegenerateKernel):
+        steady_state(G)
 
 
 def test_steady_state_flat_noise_is_maximally_mixed():

@@ -14,9 +14,8 @@ from lindcur import (
     default_freq_tol,
     hermitian_eigensystem,
 )
-from lindcur.spectral import interaction_picture_batch
 
-from conftest import components, random_hermitian
+from conftest import components, interaction_picture_batch, random_hermitian
 
 
 def _eig(energies):

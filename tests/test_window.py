@@ -19,9 +19,8 @@ import lindcur as lc
 from lindcur import lindblad
 from lindcur.current import ORACLE_HORIZON
 from lindcur.reservoir import resolution_bound, sample_kernel
-from lindcur.spectral import interaction_picture_batch
 
-from conftest import make_bundle, random_density
+from conftest import interaction_picture_batch, make_bundle, random_density
 
 AGREEMENT = 1e-12  # streamed vs whole-window, relative to max |reference|
 CHUNK_AGREEMENT = 1e-13  # one chunking vs another, same relative scale
@@ -255,6 +254,22 @@ def test_chunk_size_does_not_change_the_quadratures(ref4, monkeypatch):
     for oracle, pre in results[1:]:
         _assert_agree(oracle, first_oracle, CHUNK_AGREEMENT)
         _assert_agree(pre, first_pre, CHUNK_AGREEMENT)
+
+
+@pytest.mark.parametrize("case", ["random12", "one_bin"])
+def test_sampled_window_gathers_the_interaction_picture(short_chunks, case):
+    """V_s gathered from the per-bin phases is the interaction picture, bit
+    for bit, in every chunk."""
+    if case == "random12":
+        rng = np.random.default_rng(12)
+        b = make_bundle(12, rng.uniform(-1.0, 1.0, 12), potential=rng.normal(0.0, 0.3, 12))
+    else:
+        b = _one_bin()
+    short_chunks(b.eig.dimension)
+    V = b.engine.coupling
+    _, chunks = lindblad.sampled_window(V, b.kernel, 3.0, 0.01)
+    for s, _, _, _, V_s in chunks:
+        np.testing.assert_array_equal(V_s, interaction_picture_batch(V, s))
 
 
 def _peak_bytes(fn):
