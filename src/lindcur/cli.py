@@ -118,35 +118,27 @@ def _write_table(path, header, prec, times, columns) -> None:
 
 def _write_csvs(wb: Workbench, traj: Trajectory, out_dir: str) -> None:
     prec = wb.cfg.output.precision
-    reports = continuity_report(wb.generator, wb.ops, wb.engine, traj)
+    report = continuity_report(wb.generator, wb.ops, wb.engine, traj)
+    j_ham, j_diss = report.bond_j_ham, report.bond_j_diss
     os.makedirs(out_dir, exist_ok=True)
-
-    def column(field):
-        return np.array([getattr(rep, field) for rep in reports])
-
-    times = column("time")
-    j_ham, j_diss = column("bond_j_ham"), column("bond_j_diss")
     _write_table(
         os.path.join(out_dir, "density.csv"),
         "time,site,n,dn_dt,lstar_n,residual_raw,residual_corrected\n",
         prec,
-        times,
+        report.times,
         [
-            column(field)
-            for field in (
-                "site_density",
-                "dn_dt",
-                "site_lstar_density",
-                "residual_raw",
-                "residual_corrected",
-            )
+            report.site_density,
+            report.dn_dt,
+            report.site_lstar_density,
+            report.residual_raw,
+            report.residual_corrected,
         ],
     )
     _write_table(
         os.path.join(out_dir, "currents.csv"),
         "time,bond,j_ham,j_diss,j_total\n",
         prec,
-        times,
+        report.times,
         [j_ham, j_diss, j_ham + j_diss],
     )
 
@@ -178,15 +170,12 @@ def _continuity_checks(wb: Workbench) -> list:
     cfg = wb.cfg
     rho0 = resolve_initial_state(cfg, wb.eig)
     traj = evolve(wb.generator, rho0, cfg.run.t_final, cfg.run.dt)
-    reports = continuity_report(wb.generator, wb.ops, wb.engine, traj)
-    raw_vs_source = max(
-        float(np.max(np.abs(r.residual_raw - r.site_lstar_density)))
-        for r in reports
+    report = continuity_report(wb.generator, wb.ops, wb.engine, traj)
+    raw_vs_source = float(
+        np.max(np.abs(report.residual_raw - report.site_lstar_density))
     )
-    raw_scale = max(float(np.max(np.abs(r.residual_raw))) for r in reports)
-    corrected = max(
-        float(np.max(np.abs(r.residual_corrected))) for r in reports
-    )
+    raw_scale = float(np.max(np.abs(report.residual_raw)))
+    corrected = float(np.max(np.abs(report.residual_corrected)))
     sources = lstar_density(wb.generator, wb.ops)
     dev = divergence_identity_check(wb.engine, wb.generator, wb.ops)
     scale = max(max(float(np.linalg.norm(L)) for L in sources), 1.0)

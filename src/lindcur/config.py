@@ -7,6 +7,7 @@ directory.
 """
 from __future__ import annotations
 
+import csv
 import json
 import os
 from dataclasses import dataclass, field
@@ -268,12 +269,19 @@ def parse_config(path: str) -> Config:
 
 
 def make_kernel(bath: BathConfig):
-    """Correlation kernel named by a bath section."""
+    """Correlation kernel named by a bath section.
+
+    A tabulated file that cannot be read or does not hold a valid sampled
+    kernel raises ValidationError.
+    """
     if bath.type == "exponential":
         return Exponential(gamma=bath.gamma, kappa=bath.kappa, omega=bath.omega0)
     if bath.type == "white":
         return WhiteNoise(gamma=bath.gamma)
-    return load_tabulated_csv(bath.file)
+    try:
+        return load_tabulated_csv(bath.file)
+    except (OSError, ValueError, csv.Error) as exc:
+        raise ValidationError(f"bath.file: {exc}") from None
 
 
 def _state_block(raw) -> np.ndarray:

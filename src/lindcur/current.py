@@ -44,13 +44,17 @@ ORACLE_HORIZON = 20.0
 
 
 @dataclass(frozen=True)
-class CurrentReport:
-    """Densities, currents, sources, and continuity residuals at one time.
+class ContinuityReport:
+    """Densities, currents, sources and continuity residuals along a
+    trajectory, one row per stored state.
 
-    dn_dt is the exact time-derivative of site_density, read off the generator.
+    times is (T,); site_density, dn_dt, site_lstar_density, residual_raw and
+    residual_corrected are (T, N); bond_j_ham and bond_j_diss are (T, N - 1).
+    dn_dt is the exact time-derivative of site_density, read off the
+    generator.
     """
 
-    time: float
+    times: np.ndarray
     site_density: np.ndarray
     dn_dt: np.ndarray
     site_lstar_density: np.ndarray
@@ -378,15 +382,16 @@ def continuity_report(
     ops: LatticeOperators,
     engine: JDEngine,
     traj: Trajectory,
-) -> list:
+) -> ContinuityReport:
     """Densities, currents, and continuity residuals along a trajectory.
 
     The density time-derivative is evaluated through the generator, not by
     finite differences, so the residuals measure operator identities rather
     than integrator error.  residual_raw should reproduce the source
     expectations exactly; residual_corrected should vanish.  All stored
-    states are evaluated at once; each report holds rows of the stacked
-    results.
+    states are evaluated at once, and row t of every column belongs to
+    traj.times[t].  Each column is a C-contiguous float array of its own,
+    so the report pins neither the states nor the complex products.
     """
     if len(traj.states) == 0:
         raise ValueError("trajectory is empty")
@@ -396,23 +401,22 @@ def continuity_report(
     drho = np.matmul(G.full_matrix(), vecs[:, :, None])
     dn_dt = np.ascontiguousarray(drho[:, :: N + 1, 0].real)
     densities = np.ascontiguousarray(np.diagonal(states, axis1=1, axis2=2).real)
-    traces = "tij,bji->tb"
-    j_ham = np.einsum(traces, states, np.array(ops.j_ops)).real
-    lstar = np.einsum(traces, states, np.array(lstar_density(G, ops))).real
-    j_diss = np.einsum(traces, states, jd_observables(engine)).real
+
+    def traces(stack):
+        return np.ascontiguousarray(np.einsum("tij,bji->tb", states, stack).real)
+
+    j_ham = traces(np.array(ops.j_ops))
+    lstar = traces(np.array(lstar_density(G, ops)))
+    j_diss = traces(jd_observables(engine))
     raw = dn_dt + np.array(discrete_divergence(j_ham.T)).T
     corrected = dn_dt + np.array(discrete_divergence((j_ham + j_diss).T)).T
-    rows = zip(traj.times, densities, dn_dt, lstar, j_ham, j_diss, raw, corrected)
-    return [
-        CurrentReport(
-            time=float(t),
-            site_density=n,
-            dn_dt=dn,
-            site_lstar_density=src,
-            bond_j_ham=jh,
-            bond_j_diss=jd,
-            residual_raw=res_raw,
-            residual_corrected=res_corr,
-        )
-        for t, n, dn, src, jh, jd, res_raw, res_corr in rows
-    ]
+    return ContinuityReport(
+        times=np.array(traj.times, dtype=float),
+        site_density=densities,
+        dn_dt=dn_dt,
+        site_lstar_density=lstar,
+        bond_j_ham=j_ham,
+        bond_j_diss=j_diss,
+        residual_raw=raw,
+        residual_corrected=corrected,
+    )

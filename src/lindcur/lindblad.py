@@ -598,25 +598,44 @@ def pre_lindblad_generator(
     per-bin running trapezoid of triangle_convolution, the outer a
     trapezoid over the window; as the window grows this map approaches the
     secular dissipator like 1/delta.  The window is walked in the chunks
-    of sampled_window, so besides the N^2 x N^2 result only O(chunk N^2)
-    memory is held, whatever delta is.
+    of sampled_window, whose four terms per sample are written in place
+    into two (chunk, 4, N, N) buffers, so besides the N^2 x N^2 result only
+    O(chunk N^2) memory is held, whatever delta is.
     """
     h, chunks = sampled_window(V, k, delta, dt)
     U = V.eig.basis
+    Uh = U.conj().T
     N = V.eig.dimension
     ident = np.eye(N, dtype=complex)
     M = np.zeros((N * N, N * N), dtype=complex)
+    A = B = None
     carry = carry_bar = None
-    for _, w, g, phase, V_en in chunks:
-        C, carry = triangle_convolution(V, phase, g, V_en, h, carry)
-        Cbar, carry_bar = triangle_convolution(V, phase, np.conj(g), V_en, h, carry_bar)
+    for s, w, g, phase, V_en in chunks:
+        S = len(s)
+        if A is None:
+            # per sample, in the site basis, A holds (wC, -V_t wC, V_t, -1)
+            # and B (V_t, 1, wCbar, wCbar V_t): the four terms sit side by
+            # side on the summed axis, so their nearly cancelling products
+            # are added next to each other, not as four separately rounded
+            # sums
+            A = np.empty((S, 4, N, N), dtype=complex)
+            B = np.empty((S, 4, N, N), dtype=complex)
+            A[:, 3] = -ident
+            B[:, 1] = ident
+        a, b = A[:S], B[:S]
         w = (w / delta)[:, None, None]
-        V_t, wC, wCbar = (U @ X @ U.conj().T for X in (V_en, w * C, w * Cbar))
-        eye = np.broadcast_to(ident, V_t.shape)
-        # the four terms of a sample sit side by side on the summed axis, so
-        # their nearly cancelling products are added next to each other, not
-        # as four separately rounded sums
-        A = np.stack([wC, -(V_t @ wC), V_t, -eye], axis=1)
-        B = np.stack([V_t, eye, wCbar, wCbar @ V_t], axis=1)
-        M += _batched_map_sum(A.reshape(-1, N, N), B.reshape(-1, N, N))
+        np.matmul(U @ V_en, Uh, out=a[:, 2])
+        b[:, 0] = a[:, 2]
+        C, carry = triangle_convolution(V, phase, g, V_en, h, carry)
+        np.matmul(U @ (w * C), Uh, out=a[:, 0])
+        del C
+        Cbar, carry_bar = triangle_convolution(V, phase, np.conj(g), V_en, h, carry_bar)
+        np.matmul(U @ (w * Cbar), Uh, out=b[:, 2])
+        del Cbar
+        np.matmul(a[:, 2], a[:, 0], out=a[:, 1])
+        np.negative(a[:, 1], out=a[:, 1])
+        np.matmul(b[:, 2], b[:, 0], out=b[:, 3])
+        M += _batched_map_sum(a.reshape(-1, N, N), b.reshape(-1, N, N))
+        # nothing of this chunk may outlive it while the next one is drawn
+        del s, w, g, phase, V_en, a, b
     return SuperOperator(N, M)

@@ -52,7 +52,7 @@ class WhiteNoise:
 
 @dataclass(frozen=True)
 class Tabulated:
-    """Sampled kernel on an ascending grid starting at 0.
+    """Sampled kernel with finite samples on an ascending grid starting at 0.
 
     Pointwise evaluation interpolates linearly and raises OutOfRange
     beyond the last sample; integral transforms integrate over the samples
@@ -67,6 +67,8 @@ class Tabulated:
         v = np.asarray(self.values, dtype=complex)
         if t.ndim != 1 or v.shape != t.shape or len(t) < 2:
             raise ValueError("need matching 1-d arrays with at least two samples")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("times and values must be finite")
         if abs(t[0]) > 1e-15:
             raise ValueError("time grid must start at 0")
         if np.any(np.diff(t) <= 0):
@@ -197,7 +199,11 @@ def gplus_table(k: CorrelationKernel, spectrum: BohrSpectrum) -> HalfFourierTabl
 
 
 def load_tabulated_csv(path) -> Tabulated:
-    """Load a sampled kernel from CSV with header columns tau,re_g,im_g."""
+    """Load a sampled kernel from CSV with header columns tau,re_g,im_g.
+
+    Raises ValueError for another header, a row without exactly three
+    fields, an entry that is not a number, or samples Tabulated rejects.
+    """
     times, re, im = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -207,6 +213,10 @@ def load_tabulated_csv(path) -> Tabulated:
                 f"expected header {','.join(expected)}, got {reader.fieldnames}"
             )
         for row in reader:
+            # DictReader fills a short row with None values and keys the
+            # surplus of a long one by None
+            if None in row or None in row.values():
+                raise ValueError(f"line {reader.line_num}: expected 3 fields")
             times.append(float(row["tau"]))
             re.append(float(row["re_g"]))
             im.append(float(row["im_g"]))

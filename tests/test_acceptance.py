@@ -157,10 +157,9 @@ def test_criterion_6_long_horizon_continuity(ref4):
     assert 0.028 < gamma_eff < 0.029
     t_final = 20.0 / gamma_eff
     traj = lc.evolve(ref4.generator, _site_projector(4, 0), t_final, dt=0.02)
-    reports = lc.continuity_report(ref4.generator, ref4.ops, ref4.engine, traj)
-    raw = np.array([r.residual_raw for r in reports])
-    corrected = np.array([r.residual_corrected for r in reports])
-    lstar = np.array([r.site_lstar_density for r in reports])
+    report = lc.continuity_report(ref4.generator, ref4.ops, ref4.engine, traj)
+    raw, corrected = report.residual_raw, report.residual_corrected
+    lstar = report.site_lstar_density
     raw_scale = float(np.max(np.abs(raw)))
     worst_corr = float(np.max(np.abs(corrected)))
     worst_src = float(np.max(np.abs(raw - lstar)))

@@ -12,7 +12,7 @@ import pytest
 from lindcur import cli
 from lindcur.cli import main
 from lindcur.config import parse_config
-from lindcur.current import CurrentReport
+from lindcur.current import ContinuityReport
 
 CHECK_LINE = re.compile(
     r"^CHECK (\S+) measured=(-?\d\.\d{6}e[+-]\d{2,3})"
@@ -200,6 +200,50 @@ def test_malformed_state_file_exits_one(tmp_path, capsys, command, state):
     assert err[0].startswith("ERROR ValidationError: run.initial_state")
 
 
+KERNEL_HEADER = "tau,re_g,im_g\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        KERNEL_HEADER + "0,0.1,0\n1,abc,0\n",
+        "tau,re,im\n0,0.1,0\n1,0.05,0\n",
+        KERNEL_HEADER + "0.5,0.1,0\n1,0.05,0\n",
+        KERNEL_HEADER + "0,0.1,0\n2,0.05,0\n1,0.01,0\n",
+        KERNEL_HEADER + "0,0.1,0\n1,nan,0\n2,0.01,0\n",
+        KERNEL_HEADER + "0,0.1,0\n",
+        KERNEL_HEADER + "0,0.1,0\n1,0.05\n2,0.01,0\n",
+        KERNEL_HEADER + "0,0.1,0,7\n1,0.05,0\n2,0.01,0\n",
+    ],
+    ids=[
+        "bad_number",
+        "bad_header",
+        "grid_not_at_zero",
+        "decreasing_grid",
+        "nan_value",
+        "one_sample",
+        "short_row",
+        "long_row",
+    ],
+)
+def test_malformed_kernel_file_exits_one(tmp_path, capsys, command, text):
+    csv_path = tmp_path / "kernel.csv"
+    csv_path.write_text(text, encoding="utf-8")
+    cfg = _config(
+        tmp_path,
+        {
+            "model": {"n_sites": 2, "coupling": [1.0, -1.0]},
+            "bath": {"type": "tabulated", "file": str(csv_path)},
+            "run": {"t_final": 0.1},
+        },
+    )
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("ERROR ValidationError: bath.file")
+
+
 def test_negative_bath_spectrum_exits_two(tmp_path, capsys):
     taus = np.linspace(0.0, 1.2, 400)
     vals = np.exp(-taus) * np.cos(10.0 * taus)
@@ -233,7 +277,7 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def _per_value_writer(reports, n_sites, prec, out_dir):
+def _per_value_writer(report, n_sites, prec, out_dir):
     """The per-value f-string writer that the columnar _write_csvs replaced."""
 
     def fmt(x):
@@ -242,26 +286,26 @@ def _per_value_writer(reports, n_sites, prec, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "density.csv"), "w", encoding="utf-8") as fh:
         fh.write("time,site,n,dn_dt,lstar_n,residual_raw,residual_corrected\n")
-        for rep in reports:
+        for t, time in enumerate(report.times):
             for r in range(n_sites):
                 values = (
-                    rep.site_density[r],
-                    rep.dn_dt[r],
-                    rep.site_lstar_density[r],
-                    rep.residual_raw[r],
-                    rep.residual_corrected[r],
+                    report.site_density[t, r],
+                    report.dn_dt[t, r],
+                    report.site_lstar_density[t, r],
+                    report.residual_raw[t, r],
+                    report.residual_corrected[t, r],
                 )
-                fh.write(",".join([fmt(rep.time), str(r), *map(fmt, values)]) + "\n")
+                fh.write(",".join([fmt(time), str(r), *map(fmt, values)]) + "\n")
     with open(os.path.join(out_dir, "currents.csv"), "w", encoding="utf-8") as fh:
         fh.write("time,bond,j_ham,j_diss,j_total\n")
-        for rep in reports:
+        for t, time in enumerate(report.times):
             for b in range(n_sites - 1):
-                jh, jd = rep.bond_j_ham[b], rep.bond_j_diss[b]
-                fh.write(",".join([fmt(rep.time), str(b), fmt(jh), fmt(jd), fmt(jh + jd)]) + "\n")
+                jh, jd = report.bond_j_ham[t, b], report.bond_j_diss[t, b]
+                fh.write(",".join([fmt(time), str(b), fmt(jh), fmt(jd), fmt(jh + jd)]) + "\n")
 
 
-def _crafted_reports(n_states, n_sites):
-    """Reports with values over many decades and the edge values -0.0,
+def _crafted_report(n_states, n_sites):
+    """A report with values over many decades and the edge values -0.0,
     1e-300 and 1e300, spread over more than one write block."""
     rng = np.random.default_rng(7)
 
@@ -275,19 +319,16 @@ def _crafted_reports(n_states, n_sites):
     bond_fields = values(2, n_states, n_sites - 1)
     times = np.cumsum(rng.uniform(0.0, 0.3, n_states))
     times[0] = -0.0
-    return [
-        CurrentReport(
-            time=float(times[t]),
-            site_density=site_fields[0, t],
-            dn_dt=site_fields[1, t],
-            site_lstar_density=site_fields[2, t],
-            bond_j_ham=bond_fields[0, t],
-            bond_j_diss=bond_fields[1, t],
-            residual_raw=site_fields[3, t],
-            residual_corrected=site_fields[4, t],
-        )
-        for t in range(n_states)
-    ]
+    return ContinuityReport(
+        times=times,
+        site_density=site_fields[0],
+        dn_dt=site_fields[1],
+        site_lstar_density=site_fields[2],
+        bond_j_ham=bond_fields[0],
+        bond_j_diss=bond_fields[1],
+        residual_raw=site_fields[3],
+        residual_corrected=site_fields[4],
+    )
 
 
 @pytest.mark.parametrize("precision", [1, 12, 17])
@@ -299,10 +340,10 @@ def test_columnar_csvs_match_per_value_writer(tmp_path, monkeypatch, precision):
         cfg, output=dataclasses.replace(cfg.output, precision=precision)
     )
     wb = cli.build_workbench(cfg)
-    reports = _crafted_reports(2 * cli.CSV_BLOCK + 3, 3)
-    monkeypatch.setattr(cli, "continuity_report", lambda *args: reports)
+    report = _crafted_report(2 * cli.CSV_BLOCK + 3, 3)
+    monkeypatch.setattr(cli, "continuity_report", lambda *args: report)
     cli._write_csvs(wb, None, str(tmp_path / "columnar"))
-    _per_value_writer(reports, 3, precision, str(tmp_path / "per_value"))
+    _per_value_writer(report, 3, precision, str(tmp_path / "per_value"))
     for name in ("density.csv", "currents.csv"):
         got = (tmp_path / "columnar" / name).read_bytes()
         assert got == (tmp_path / "per_value" / name).read_bytes()

@@ -295,28 +295,31 @@ def test_observable_divergence_cancels_sources(ref4):
 
 def test_continuity_report_closes_the_balance(ref4):
     traj = evolve(ref4.generator, _site_projector(4), 1.0, 0.01)
-    reports = continuity_report(ref4.generator, ref4.ops, ref4.engine, traj)
-    assert len(reports) == len(traj.times)
-    raw_scale = max(np.max(np.abs(r.residual_raw)) for r in reports)
-    for rep, rho in zip(reports, traj.states):
+    report = continuity_report(ref4.generator, ref4.ops, ref4.engine, traj)
+    assert len(report.times) == len(traj.times)
+    raw_scale = np.max(np.abs(report.residual_raw))
+    for t, rho in enumerate(traj.states):
         np.testing.assert_array_equal(
-            rep.dn_dt, np.diag(ref4.generator.apply_full(rho)).real
+            report.dn_dt[t], np.diag(ref4.generator.apply_full(rho)).real
         )
         np.testing.assert_allclose(
-            rep.residual_raw, rep.site_lstar_density, atol=1e-9
+            report.residual_raw[t], report.site_lstar_density[t], atol=1e-9
         )
-        assert np.max(np.abs(rep.residual_corrected)) <= 1e-8 * max(raw_scale, 1e-12)
-        assert np.sum(rep.site_density) == pytest.approx(1.0, abs=1e-10)
+        assert np.max(np.abs(report.residual_corrected[t])) <= 1e-8 * max(
+            raw_scale, 1e-12
+        )
+        assert np.sum(report.site_density[t]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_continuity_report_matches_per_state_loop(asym4):
     """The batched report against the per-state traces it replaced."""
     G, ops = asym4.generator, asym4.ops
     traj = evolve(G, _site_projector(4), 1.0, 0.01)
-    reports = continuity_report(G, ops, asym4.engine, traj)
+    report = continuity_report(G, ops, asym4.engine, traj)
     sources = lstar_density(G, ops)
     obs = jd_observables(asym4.engine)
-    for rep, rho in zip(reports, traj.states):
+    np.testing.assert_array_equal(report.times, traj.times)
+    for t, rho in enumerate(traj.states):
         currents = np.array([np.trace(rho @ J).real for J in ops.j_ops])
         j_diss = np.array([np.trace(rho @ O).real for O in obs])
         dn_dt = np.diag(G.apply_full(rho)).real
@@ -330,17 +333,31 @@ def test_continuity_report_matches_per_state_loop(asym4):
             + np.array(discrete_divergence(currents + j_diss)),
         }
         for field, want in expected.items():
-            np.testing.assert_allclose(getattr(rep, field), want, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                getattr(report, field)[t], want, rtol=0, atol=1e-15
+            )
+
+
+@pytest.mark.parametrize("t_final", [0.0, 0.2])
+def test_continuity_report_columns_own_their_data(asym4, t_final):
+    """Every column is a float array of its own with one row per state, so
+    the report pins neither the stored states nor a complex product."""
+    traj = evolve(asym4.generator, _site_projector(4), t_final, 0.01)
+    report = continuity_report(asym4.generator, asym4.ops, asym4.engine, traj)
+    for field in dataclasses.fields(report):
+        column = getattr(report, field.name)
+        assert len(column) == len(traj.times), field.name
+        assert column.dtype == np.float64, field.name
+        assert column.flags.c_contiguous and column.flags.owndata, field.name
 
 
 def test_continuity_report_trivial_without_dissipation():
     bundle = make_bundle(3, np.zeros(3))
     traj = evolve(bundle.generator, _site_projector(3), 0.5, 0.01)
-    reports = continuity_report(bundle.generator, bundle.ops, bundle.engine, traj)
-    for rep in reports:
-        np.testing.assert_allclose(rep.bond_j_diss, 0.0, atol=1e-15)
-        np.testing.assert_allclose(rep.residual_raw, 0.0, atol=1e-12)
-        np.testing.assert_allclose(rep.residual_corrected, 0.0, atol=1e-12)
+    report = continuity_report(bundle.generator, bundle.ops, bundle.engine, traj)
+    np.testing.assert_allclose(report.bond_j_diss, 0.0, atol=1e-15)
+    np.testing.assert_allclose(report.residual_raw, 0.0, atol=1e-12)
+    np.testing.assert_allclose(report.residual_corrected, 0.0, atol=1e-12)
 
 
 def test_engine_dimension_guards(ref4):

@@ -299,3 +299,6 @@ def test_memory_does_not_grow_with_the_window(ref4):
 
     for run in (oracle, pre):
         assert _peak_bytes(run(4.0 * short)) <= 1.25 * _peak_bytes(run(short))
+    # one chunk's samples and two (chunk, 4, N, N) term buffers, not the
+    # previous chunk's arrays on top
+    assert _peak_bytes(pre(4.0 * short)) <= 16 * lindblad.CHUNK_BYTES
