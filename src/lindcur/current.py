@@ -174,9 +174,7 @@ def build_engine(
     deterministic.  Raises MissingFrequency when the half-Fourier table
     does not cover the spectrum.
     """
-    tol = spectrum.bin_tolerance
-    for w in spectrum.frequencies:
-        gplus.value_at(w, tol)
+    gplus.value_at(spectrum.frequencies, spectrum.bin_tolerance)
     coupling = decompose(ops.v, eig, spectrum)
     bond_sops = tuple(
         replace(coupling, source=eig.to_energy_basis(J)) for J in ops.j_ops
@@ -227,7 +225,7 @@ def jd_observables(engine: JDEngine) -> np.ndarray:
     found = np.abs(w[mirror] + w) <= tol
     w2 = np.where(found, w[mirror], np.nan)
     g2 = np.zeros(len(w), dtype=complex)
-    g2[found] = [engine.gplus.value_at(x, tol) for x in w2[found]]
+    g2[found] = engine.gplus.value_at(w2[found], tol)
     W, W2, G2 = w[L], w2[L][None, None], g2[L][None, None]
     Wli = W.T[:, None, None, :]
     T1 = _chain_coefficient(W[None, :, :, None], W[:, :, None, None], W2, Wli, G2, tol)

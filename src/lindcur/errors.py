@@ -45,10 +45,6 @@ class PositivityViolation(LindcurError):
     """A dissipation rate 2 Re g in the bath table is negative."""
 
 
-class StepTooLarge(LindcurError):
-    """Integrator step violates the stability bound."""
-
-
 class StepTooCoarse(LindcurError):
     """Quadrature step is too coarse for the kernel or the fastest phase."""
 

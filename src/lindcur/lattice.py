@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import LengthMismatch
 
-BOUNDARY = "open"
-
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -28,13 +26,10 @@ class ChainSpec:
     hopping: float
     potential: np.ndarray
     coupling: np.ndarray
-    boundary: str = BOUNDARY
 
     def __post_init__(self):
         if self.n_sites < 2:
             raise ValueError("need at least two sites")
-        if self.boundary != BOUNDARY:
-            raise ValueError("only open boundaries are supported")
         if not (np.isfinite(self.hopping) and self.hopping > 0):
             raise ValueError("hopping must be positive and finite")
         pot = np.asarray(self.potential, dtype=float)

@@ -153,16 +153,30 @@ def decay_rate(k: CorrelationKernel) -> float:
 
 @dataclass(frozen=True)
 class HalfFourierTable:
-    """gplus evaluated on the bins of a BohrSpectrum."""
+    """gplus evaluated on the bins of a BohrSpectrum, at strictly
+    increasing frequencies."""
 
     frequencies: np.ndarray
     values: np.ndarray
 
-    def value_at(self, omega: float, tol: float) -> complex:
-        k = int(np.argmin(np.abs(self.frequencies - omega)))
-        if abs(self.frequencies[k] - omega) > tol:
-            raise MissingFrequency(f"no table entry within {tol} of omega={omega}")
-        return complex(self.values[k])
+    def __post_init__(self):
+        if np.any(np.diff(self.frequencies) <= 0):
+            raise ValueError("table frequencies must be strictly increasing")
+
+    def value_at(self, omega, tol: float) -> np.ndarray:
+        """gplus at each omega, read from the entry nearest to it by the
+        spectrum's one nearest rule, as an array of omega's shape.
+
+        Raises MissingFrequency naming the first omega with no entry within
+        tol.  The table must not be empty.
+        """
+        omega = np.asarray(omega, dtype=float)
+        k = BohrSpectrum(self.frequencies, tol).nearest(omega)
+        missing = np.abs(self.frequencies[k] - omega) > tol
+        if np.any(missing):
+            first = float(omega[missing].flat[0])
+            raise MissingFrequency(f"no table entry within {tol} of omega={first}")
+        return self.values[k]
 
 
 def resolution_bound(k: CorrelationKernel, spectrum: BohrSpectrum) -> float:

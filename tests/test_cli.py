@@ -69,6 +69,17 @@ def test_simulate_zero_coupling_has_no_correction(tmp_path):
     assert not np.any(lstar)
 
 
+def test_simulate_accepts_coarse_steps(tmp_path, capsys):
+    """Steps are exact, so dt only spaces the stored states."""
+    payload = _reference_payload()
+    payload["run"].update(t_final=5.0, dt=0.5)
+    cfg = _config(tmp_path, payload)
+    assert main(["simulate", "--config", cfg]) == 0
+    assert "ERROR" not in capsys.readouterr().err
+    _, rows = _read_rows(tmp_path / "out" / "density.csv")
+    assert len(rows) == 11 * 4
+
+
 def test_simulate_is_byte_deterministic(tmp_path):
     payload = _reference_payload()
     payload["run"]["t_final"] = 0.5

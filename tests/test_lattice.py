@@ -86,8 +86,6 @@ def test_chain_validation():
         ChainSpec(1, 1.0, np.zeros(1), np.zeros(1))
     with pytest.raises(ValueError):
         ChainSpec(2, 0.0, np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        ChainSpec(2, 1.0, np.zeros(2), np.zeros(2), boundary="periodic")
     with pytest.raises(LengthMismatch):
         ChainSpec(3, 1.0, np.zeros(3), np.zeros(2))
     with pytest.raises(LengthMismatch):

@@ -7,6 +7,7 @@ import pytest
 from lindcur import (
     EigenSystem,
     Exponential,
+    HalfFourierTable,
     MissingFrequency,
     OutOfRange,
     PointwiseUndefined,
@@ -108,6 +109,15 @@ def test_gplus_table_roundtrip(ref4):
         assert table.value_at(w, tol) == pytest.approx(half_fourier(ref4.kernel, w))
     with pytest.raises(MissingFrequency):
         table.value_at(0.5, tol)
+    w = ref4.spectrum.frequencies
+    picks = w[[[2, 0], [len(w) - 1, 2]]]
+    np.testing.assert_array_equal(
+        table.value_at(picks, tol), [[table.value_at(x, tol) for x in row] for row in picks]
+    )
+    with pytest.raises(MissingFrequency, match=r"omega=0\.5$"):
+        table.value_at([w[0], 0.5, w[1], 0.7], tol)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        HalfFourierTable(frequencies=w[::-1].copy(), values=table.values[::-1].copy())
 
 
 def test_gplus_table_warns_on_coarse_sampling(ref4, caplog):
