@@ -31,6 +31,7 @@ from .errors import DimensionMismatch, IndexOutOfRange
 from .lattice import LatticeOperators, discrete_divergence
 from .linalg import EigenSystem
 from .lindblad import (
+    CHUNK_BYTES,
     LindbladGenerator,
     Trajectory,
     apply_adjoint,
@@ -386,18 +387,17 @@ def continuity_report(
     The density time-derivative is evaluated through the generator, not by
     finite differences, so the residuals measure operator identities rather
     than integrator error.  residual_raw should reproduce the source
-    expectations exactly; residual_corrected should vanish.  All stored
-    states are evaluated at once, and row t of every column belongs to
+    expectations exactly; residual_corrected should vanish.  dn/dt is taken
+    in chunks of CHUNK_BYTES of states; row t of every column belongs to
     traj.times[t].  Each column is a C-contiguous float array of its own,
     so the report pins neither the states nor the complex products.
     """
     if len(traj.states) == 0:
         raise ValueError("trajectory is empty")
     states = np.asarray(traj.states, dtype=complex)
-    T, N = len(states), G.dimension
-    vecs = states.transpose(0, 2, 1).reshape(T, N * N)
-    drho = np.matmul(G.full_matrix(), vecs[:, :, None])
-    dn_dt = np.ascontiguousarray(drho[:, :: N + 1, 0].real)
+    size = max(1, CHUNK_BYTES // (16 * G.dimension**2))
+    drho = (G.apply_full(states[t : t + size]) for t in range(0, len(states), size))
+    dn_dt = np.concatenate([d.diagonal(axis1=1, axis2=2).real for d in drho])
     densities = np.ascontiguousarray(np.diagonal(states, axis1=1, axis2=2).real)
 
     def traces(stack):

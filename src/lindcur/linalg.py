@@ -25,11 +25,6 @@ def unvec(x: np.ndarray, n: int) -> np.ndarray:
     return x.reshape((n, n), order="F")
 
 
-def kron_map(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix of the map X -> A @ X @ B on column-stacked X."""
-    return np.kron(B.T, A)
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Spectral resolution of a Hermitian matrix.

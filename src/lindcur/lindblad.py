@@ -1,8 +1,7 @@
 """The secular generator: assembly, evolution, steady states, and the
 finite-window precursor map used as a convergence oracle.
 
-The dissipator acts on site-basis states.  For each bin frequency w with
-coupling component V_w (rotated back to the site basis) it adds
+For each bin frequency w with coupling component V_w the dissipator adds
 
     g_w (V_w^dag rho V_w - V_w V_w^dag rho)
     + conj(g_w) (V_w^dag rho V_w - rho V_w V_w^dag)
@@ -12,10 +11,10 @@ with g_w = gplus(w).  Summed over bins this is the standard form
     sum_w gamma_w V_w^dag rho V_w - K rho - rho K^dag,
     gamma_w = 2 Re g_w,   K = sum_w g_w V_w V_w^dag,
 
-which build_generator assembles in one pass over all bins.  Trace
-preservation, Hermiticity preservation, and unitality of the adjoint are
-exact consequences of this form and are enforced as tested invariants
-rather than assumptions.
+which is block-diagonal in the energy basis; build_generator assembles
+only its blocks.  Trace preservation, Hermiticity preservation, and
+unitality of the adjoint are exact consequences of this form and are
+enforced as tested invariants rather than assumptions.
 """
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ from .errors import (
     PositivityViolation,
     StepTooCoarse,
 )
-from .linalg import EigenSystem, SuperOperator, kron_map, superop_adjoint, unvec, vec
+from .linalg import EigenSystem, SuperOperator, superop_adjoint
 from .reservoir import (
     CorrelationKernel,
     HalfFourierTable,
@@ -56,42 +55,51 @@ CHUNK_BYTES = 1 << 20  # one (chunk, N, N) complex stack of a streamed window
 
 @dataclass(frozen=True)
 class LindbladGenerator:
-    """Coherent and dissipative parts of the master-equation generator.
+    """The master-equation generator as its blocks in the energy basis.
 
-    hamiltonian_part, dissipator and dissipator_adjoint are dense N^2 x N^2
-    matrices on column-stacked site-basis operators.  The same generator
-    is also held in the energy basis of eig, where it is block-diagonal
-    over groups of Bohr bins: block_order lists the flat energy-basis
-    positions i * N + j in block order, and blocks holds the blocks as
+    In the energy basis of eig the generator is block-diagonal over groups
+    of Bohr bins: block_order lists the flat energy-basis positions
+    i * N + j in block order, and blocks holds the dissipator's blocks as
     (count, m, m) stacks, one per block size m in ascending order, that
     take consecutive runs of block_order.  Entry [b, r, c] of a stack is
     the coefficient of the state's entry at the block's c-th position in
-    the image's entry at its r-th position.  evolve and steady_state work
-    on the blocks only; full_matrix() forms the dense site-basis sum for
-    apply_full and the continuity report.
+    the image's entry at its r-th position.  _block_runs adds the coherent
+    part.  full_matrix() and the three SuperOperator properties are dense
+    site-basis views, formed on each access; no library path reads them.
     """
 
     dimension: int
-    hamiltonian_part: SuperOperator
-    dissipator: SuperOperator
     frequencies_used: BohrSpectrum
     gplus_used: HalfFourierTable
-    dissipator_adjoint: SuperOperator = field(repr=False)
     eig: EigenSystem = field(repr=False)
     block_order: np.ndarray = field(repr=False)
     blocks: tuple = field(repr=False)
 
     def full_matrix(self) -> np.ndarray:
-        return self.hamiltonian_part.matrix + self.dissipator.matrix
+        return _dense(self.apply_full, self.dimension).matrix
+
+    @property
+    def hamiltonian_part(self) -> SuperOperator:
+        H = self.eig.matrix()
+        return _dense(lambda X: -1j * (H @ X - X @ H), self.dimension)
+
+    @property
+    def dissipator(self) -> SuperOperator:
+        return superop_adjoint(self.dissipator_adjoint)
+
+    @property
+    def dissipator_adjoint(self) -> SuperOperator:
+        return _dense(lambda A: apply_adjoint(self, A), self.dimension)
 
     def apply_full(self, rho: np.ndarray) -> np.ndarray:
-        """d rho / dt for the given state."""
+        """d rho / dt for the given state, or for each state of a stack."""
         rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.dimension, self.dimension):
+        if rho.shape[-2:] != (self.dimension, self.dimension):
             raise DimensionMismatch(
                 f"state shape {rho.shape} vs dimension {self.dimension}"
             )
-        return unvec(self.full_matrix() @ vec(rho), self.dimension)
+        eig = self.eig
+        return eig.to_site_basis(_block_action(self, eig.to_energy_basis(rho)))
 
 
 @dataclass(frozen=True)
@@ -128,17 +136,13 @@ def build_generator(
     H: EigenSystem,
     positivity_tol: float = 1e-10,
 ) -> LindbladGenerator:
-    """Assemble the generator from the coupling components and bath table.
-
-    The dense site-basis matrices are assembled in one pass over all bins,
-    and the energy-basis blocks straight from V's label map (see
-    _bohr_blocks).
+    """Assemble the generator's energy-basis blocks (_bohr_blocks) from the
+    coupling components and bath table, with no N^2 x N^2 matrix.
 
     Raises MissingFrequency when the table lacks a bin of V's spectrum and
     PositivityViolation when any damping rate 2 Re gplus is negative beyond
     positivity_tol.
     """
-    N = H.dimension
     spectrum = V.spectrum
     rates = gplus.value_at(spectrum.frequencies, spectrum.bin_tolerance)
     bad = spectrum.frequencies[2.0 * rates.real < -positivity_tol]
@@ -146,15 +150,6 @@ def build_generator(
         raise PositivityViolation(
             f"negative damping rate at frequencies {bad.tolist()}"
         )
-    U = H.basis
-    Hmat = H.matrix()
-    ident = np.eye(N, dtype=complex)
-    ham = -1j * (kron_map(Hmat, ident) - kron_map(ident, Hmat))
-    # the per-bin components V_w, stacked here only for this assembly
-    rows, cols = np.indices((N, N))
-    comps = np.zeros((len(spectrum), N, N), dtype=complex)
-    comps[V.labels, rows, cols] = V.source
-    Vs = U @ comps @ U.conj().T
     # K = sum_w g_w V_w V_w^dag; in the energy basis only entries (i, m)
     # and (k, m) of one bin meet: K_ik = sum_m g V_im conj(V_km) over
     # labels[i, m] == labels[k, m]
@@ -162,21 +157,11 @@ def build_generator(
     K = np.einsum(
         "ikm,im,km->ik", same_bin, rates[V.labels] * V.source, V.source.conj()
     )
-    K_site = U @ K @ U.conj().T
-    # entry [a, c, b, d] is the coefficient of rho[d, b] in out[c, a]
-    jump = np.einsum(
-        "k,kba,kdc->acbd", 2.0 * rates.real, Vs, Vs.conj(), optimize=True
-    ).reshape(N * N, N * N)
-    diss = jump - kron_map(K_site, ident) - kron_map(ident, K_site.conj().T)
-    dissipator = SuperOperator(N, diss)
-    block_order, blocks = _bohr_blocks(V, rates, K, H.energies)
+    block_order, blocks = _bohr_blocks(V, rates, K)
     return LindbladGenerator(
-        dimension=N,
-        hamiltonian_part=SuperOperator(N, ham),
-        dissipator=dissipator,
+        dimension=H.dimension,
         frequencies_used=spectrum,
         gplus_used=gplus,
-        dissipator_adjoint=superop_adjoint(dissipator),
         eig=H,
         block_order=block_order,
         blocks=blocks,
@@ -213,17 +198,15 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         root = low
 
 
-def _bohr_blocks(
-    V: SpectralOperator, rates: np.ndarray, K: np.ndarray, energies: np.ndarray
-):
-    """The generator in the energy basis as (block_order, blocks).
+def _bohr_blocks(V: SpectralOperator, rates: np.ndarray, K: np.ndarray):
+    """The dissipator in the energy basis as (block_order, blocks).
 
     In the energy basis the secular generator maps rho_kl to rho_ij through
 
         jump term     2 Re g_b conj(V_ki) V_lj,  labels[k, i] == labels[l, j] == b
         K rho         -K_ik when l == j
         rho K^dag     -conj(K_jl) when k == i
-        Hamiltonian   -i (E_i - E_j) when (k, l) == (i, j)
+        Hamiltonian   -i (E_i - E_j) when (k, l) == (i, j), added by _block_runs
 
     with g_b = rates[b] and K, in the energy basis, nonzero only where
     labels[i, m] == labels[k, m] for some m.
@@ -234,7 +217,7 @@ def _bohr_blocks(
     closed under the generator, and the merge keeps the blocks exact.
     Every step is vectorised over pairs and label groups.
     """
-    N = len(energies)
+    N = len(K)
     labels, src = V.labels, V.source
     first, second = _same_label_pairs(labels)
     k, i = np.divmod(first, N)
@@ -260,24 +243,52 @@ def _bohr_blocks(
             bin_ki == labels[l, j], gamma[bin_ki] * src[k, i].conj() * src[l, j], 0.0
         )
         B -= np.where(l == j, K[i, k], 0.0) + np.where(k == i, K[j, l].conj(), 0.0)
-        B -= np.where((k == i) & (l == j), 1j * (energies[i] - energies[j]), 0.0)
         blocks.append(B)
         start = stop
     return block_order, tuple(blocks)
 
 
-def _block_runs(G: LindbladGenerator):
-    """(part, B) for each stack B of G.blocks, with part the slice of
-    G.block_order that the stack's blocks take."""
+def _block_runs(G: LindbladGenerator, adjoint: bool = False):
+    """(part, B) per stack of G.blocks: part its slice of G.block_order, B a
+    copy with the coherent -i (E_i - E_j) added on the diagonal, or with
+    adjoint set the stack, which holds the dissipator alone, transposed."""
+    i, j = np.divmod(G.block_order, G.dimension)
+    coherent = 1j * (G.eig.energies[i] - G.eig.energies[j])
     start = 0
-    for B in G.blocks:
-        stop = start + B.shape[0] * B.shape[1]
-        yield slice(start, stop), B
-        start = stop
+    for D in G.blocks:
+        count, m = D.shape[:2]
+        part = slice(start, start + count * m)
+        if adjoint:
+            yield part, D.transpose(0, 2, 1)
+        else:
+            B = D.copy()
+            B[:, range(m), range(m)] -= coherent[part].reshape(count, m)
+            yield part, B
+        start = part.stop
+
+
+def _block_action(G: LindbladGenerator, X: np.ndarray, adjoint: bool = False):
+    """The generator's image of each energy-basis matrix of the stack X, or,
+    with adjoint set, the image T D^T T under the dissipator's adjoint, T the
+    mirror (i, j) -> (j, i): D alone, since cancelling the coherent part
+    loses precision on weak baths.  No image depends on the rest of X."""
+    N = G.dimension
+    order = G.block_order
+    if adjoint:
+        order = order % N * N + order // N
+    x = X.reshape(-1, N * N)[:, order]
+    y = np.empty_like(x)
+    for part, B in _block_runs(G, adjoint):
+        if B.shape[1] == 1:
+            y[:, part] = B.ravel() * x[:, part]
+        else:
+            xp = x[:, part].reshape(len(x), *B.shape[:2], 1)
+            y[:, part] = (B @ xp).reshape(len(x), -1)
+    return y[:, np.argsort(order)].reshape(X.shape)
 
 
 def apply_adjoint(G: LindbladGenerator, A: np.ndarray) -> np.ndarray:
-    """Image of an observable under the dissipator's adjoint.
+    """Image of an observable (or a stack of them) under the dissipator's adjoint.
 
     Defined through the pairing tr(A . dissipator(rho)) =
     tr(apply_adjoint(A) . rho); the coherent part is deliberately not
@@ -285,9 +296,17 @@ def apply_adjoint(G: LindbladGenerator, A: np.ndarray) -> np.ndarray:
     operators).
     """
     A = np.asarray(A, dtype=complex)
-    if A.shape != (G.dimension, G.dimension):
+    if A.shape[-2:] != (G.dimension, G.dimension):
         raise DimensionMismatch(f"operand {A.shape} vs dimension {G.dimension}")
-    return G.dissipator_adjoint.apply(A)
+    eig = G.eig
+    return eig.to_site_basis(_block_action(G, eig.to_energy_basis(A), adjoint=True))
+
+
+def _dense(action, N: int) -> SuperOperator:
+    """The linear map action of (..., N, N) stacks as an N^2 x N^2 matrix on
+    column-stacked operators: its images of the matrix units."""
+    units = np.eye(N * N, dtype=complex).reshape(N * N, N, N).transpose(0, 2, 1)
+    return SuperOperator(N, action(units).transpose(0, 2, 1).reshape(N * N, -1).T)
 
 
 def _expm(M: np.ndarray, h: float) -> np.ndarray:
@@ -336,8 +355,8 @@ def evolve(
 
     The generator is linear, so the state after a step of size h is the
     product with exp(hM).  The exponential of a block-diagonal matrix is
-    block-diagonal, so exp(hB) is formed once per block of G.blocks
-    (_expm), and the state is kept in the energy basis, in block order.  A
+    block-diagonal, so exp(hB) is formed once per block (_block_runs,
+    _expm), and the state is kept in the energy basis, in block order.  A
     step is one batched mat-vec per block size, a gather of each entry's
     mirror (i, j) -> (j, i) to re-Hermitize, and a sum over the diagonal
     positions for the trace: a fixed number of numpy calls however many
@@ -482,11 +501,7 @@ def steady_state(G: LindbladGenerator) -> np.ndarray:
         raise DegenerateKernel("kernel vector is traceless; no stationary state")
     rho = rho / tr.real if abs(tr.imag) < abs(tr.real) else rho / tr
     rho = np.asarray(rho, dtype=complex)
-    x = G.eig.to_energy_basis(rho).ravel()[G.block_order]
-    image = np.concatenate(
-        [(B @ x[part].reshape(*B.shape[:2], 1)).ravel() for part, B in _block_runs(G)]
-    )
-    residual = float(np.linalg.norm(image))
+    residual = float(np.linalg.norm(_block_action(G, G.eig.to_energy_basis(rho))))
     bound = 1e-10 * float(np.linalg.norm(svals))
     if residual > bound:
         raise NoConvergence(

@@ -103,6 +103,36 @@ def superop_from_action(f, N):
     return lc.SuperOperator(N, M)
 
 
+def dense_generator(V, gplus, eig):
+    """The generator as the pair (hamiltonian_part, dissipator) of dense
+    N^2 x N^2 SuperOperators on column-stacked site-basis operators.
+
+    The site-basis assembly that build_generator used before it kept only
+    the Bohr-bin blocks, kept as the test reference for them: the jump
+    term sum_w gamma_w V_w^dag rho V_w summed in one einsum over the bins,
+    and K = sum_w g_w V_w V_w^dag, both from the components V_w rotated to
+    the site basis.  vec(A X B) = (B^T kron A) vec(X).
+    """
+    N = eig.dimension
+    spectrum = V.spectrum
+    rates = gplus.value_at(spectrum.frequencies, spectrum.bin_tolerance)
+    U = eig.basis
+    H = eig.matrix()
+    ident = np.eye(N, dtype=complex)
+    ham = -1j * (np.kron(ident, H) - np.kron(H.T, ident))
+    rows, cols = np.indices((N, N))
+    comps = np.zeros((len(spectrum), N, N), dtype=complex)
+    comps[V.labels, rows, cols] = V.source
+    Vs = U @ comps @ U.conj().T
+    K = np.einsum("k,kab,kcb->ac", rates, Vs, Vs.conj())
+    # entry [a, c, b, d] is the coefficient of rho[d, b] in out[c, a]
+    jump = np.einsum(
+        "k,kba,kdc->acbd", 2.0 * rates.real, Vs, Vs.conj(), optimize=True
+    ).reshape(N * N, N * N)
+    diss = jump - np.kron(ident, K) - np.kron(K.conj(), ident)
+    return lc.SuperOperator(N, ham), lc.SuperOperator(N, diss)
+
+
 def components(sop):
     """The (bins, N, N) stack of a SpectralOperator's per-bin components."""
     return np.stack([sop.component(k) for k in range(len(sop.spectrum))])

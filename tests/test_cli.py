@@ -13,6 +13,7 @@ from lindcur import cli
 from lindcur.cli import main
 from lindcur.config import parse_config
 from lindcur.current import ContinuityReport
+from lindcur.lindblad import LindbladGenerator
 
 CHECK_LINE = re.compile(
     r"^CHECK (\S+) measured=(-?\d\.\d{6}e[+-]\d{2,3})"
@@ -88,6 +89,31 @@ def test_simulate_is_byte_deterministic(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
     for name in ("density.csv", "currents.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_simulate_and_steady_read_no_dense_generator(tmp_path, monkeypatch):
+    """The dense N^2 x N^2 views of the generator are off both commands'
+    paths: with each of them raising, the tables come out the same."""
+    payload = {
+        "model": {"n_sites": 4, "coupling": [0.7, -1.1, 0.4, 0.9]},
+        "bath": {"type": "exponential", "gamma": 0.1, "kappa": 5.0},
+        "run": {"t_final": 1.0, "dt": 0.01, "initial_state": "site:0"},
+    }
+    cfg = _config(tmp_path, payload)
+    for command in ("simulate", "steady"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+
+    def dense(*args):
+        raise AssertionError("dense generator read")
+
+    monkeypatch.setattr(LindbladGenerator, "full_matrix", dense)
+    for name in ("hamiltonian_part", "dissipator", "dissipator_adjoint"):
+        monkeypatch.setattr(LindbladGenerator, name, property(dense), raising=False)
+    for command in ("simulate", "steady"):
+        out = tmp_path / f"{command}_guarded"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        for name in ("density.csv", "currents.csv"):
+            assert (out / name).read_bytes() == (tmp_path / command / name).read_bytes()
 
 
 def test_out_flag_overrides_directory(tmp_path):

@@ -8,7 +8,7 @@ from lindcur import (
     hermitian_eigensystem,
     superop_adjoint,
 )
-from lindcur.linalg import kron_map, unvec, vec
+from lindcur.linalg import unvec, vec
 
 from conftest import random_hermitian, superop_from_action
 
@@ -79,15 +79,6 @@ def test_vec_is_column_stacking():
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(vec(X), [1.0, 3.0, 2.0, 4.0])
     np.testing.assert_array_equal(unvec(vec(X), 2), X)
-
-
-def test_kron_map_action(rng):
-    A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    B = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    np.testing.assert_allclose(
-        unvec(kron_map(A, B) @ vec(X), 3), A @ X @ B, atol=1e-12
-    )
 
 
 def test_superop_from_zero_map():

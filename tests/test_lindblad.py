@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from lindcur import (
     BohrSpectrum,
+    ChainSpec,
     DegenerateKernel,
     EigenSystem,
     Exponential,
@@ -22,13 +25,16 @@ from lindcur import (
     WhiteNoise,
     apply_adjoint,
     bohr_frequencies,
+    build_chain,
     build_generator,
     decompose,
     default_freq_tol,
     evolve,
     gplus_table,
+    hermitian_eigensystem,
     pre_lindblad_generator,
     steady_state,
+    superop_adjoint,
 )
 from lindcur.current import jd_observables
 from lindcur.linalg import unvec, vec
@@ -37,6 +43,7 @@ from lindcur.reservoir import resolution_bound
 
 from conftest import (
     chain_models,
+    dense_generator,
     make_bundle,
     random_density,
     random_hermitian,
@@ -45,14 +52,15 @@ from conftest import (
 
 
 def _two_level_flat(gamma=0.3, omega0=10.0):
-    """H diagonal in the site basis, transverse coupling, flat noise."""
+    """H diagonal in the site basis, transverse coupling, flat noise: the
+    inputs (V, gplus, eig) of build_generator."""
     eig = EigenSystem(
         energies=np.array([0.0, omega0]), basis=np.eye(2, dtype=complex)
     )
     spectrum = bohr_frequencies(eig, default_freq_tol(eig))
     gplus = gplus_table(WhiteNoise(gamma), spectrum)
     V = decompose(np.array([[0.0, 1.0], [1.0, 0.0]]), eig, spectrum)
-    return build_generator(V, gplus, eig), eig
+    return V, gplus, eig
 
 
 def _dephasing(gamma=0.25, omega0=10.0):
@@ -68,7 +76,7 @@ def _dephasing(gamma=0.25, omega0=10.0):
 def test_flat_noise_rate_equation():
     """Populations obey dp2/dt = gamma (p1 - p2) for the transverse model."""
     gamma = 0.3
-    G, _ = _two_level_flat(gamma=gamma)
+    G = build_generator(*_two_level_flat(gamma=gamma))
     for p1, p2 in ((1.0, 0.0), (0.25, 0.75), (0.5, 0.5)):
         drho = G.apply_full(np.diag([p1, p2]).astype(complex))
         np.testing.assert_allclose(
@@ -147,53 +155,68 @@ def _non_closed():
     spectrum = bohr_frequencies(eig, 0.2821)
     A = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 4))
     V = decompose((A + A.T) / 2.0, eig, spectrum)
-    return build_generator(V, gplus_table(WhiteNoise(0.3), spectrum), eig)
+    return V, gplus_table(WhiteNoise(0.3), spectrum), eig
+
+
+def _inputs(bundle):
+    """The inputs (V, gplus, eig) of a bundle's generator."""
+    return bundle.engine.coupling, bundle.gplus, bundle.eig
 
 
 def _uniform6():
     """Zero potential: mirrored levels give degenerate gaps, so bins hold
     several coherences and the blocks are larger than one."""
-    return make_bundle(6, [0.7, -1.1, 0.4, 0.9, 0.3, -0.6]).generator
+    return _inputs(make_bundle(6, [0.7, -1.1, 0.4, 0.9, 0.3, -0.6]))
 
 
 def _random8():
     chain = np.random.default_rng(8)
-    return make_bundle(
+    bundle = make_bundle(
         8, chain.uniform(-1.0, 1.0, 8), potential=chain.normal(0.0, 0.3, 8)
-    ).generator
+    )
+    return _inputs(bundle)
 
 
+# each model gives the inputs (V, gplus, eig) of build_generator
 MODELS = {
-    "asym4": lambda request: request.getfixturevalue("asym4").generator,
-    "ref4": lambda request: request.getfixturevalue("ref4").generator,
-    "two_level_flat": lambda request: _two_level_flat()[0],
+    "asym4": lambda request: _inputs(request.getfixturevalue("asym4")),
+    "ref4": lambda request: _inputs(request.getfixturevalue("ref4")),
+    "two_level_flat": lambda request: _two_level_flat(),
     "random8": lambda request: _random8(),
     "uniform6": lambda request: _uniform6(),
     "non_closed": lambda request: _non_closed(),
-    "silent": lambda request: make_bundle(3, np.zeros(3)).generator,
+    "silent": lambda request: _inputs(make_bundle(3, np.zeros(3))),
     **{
-        f"one_bin_{case}": lambda request, case=case: make_bundle(
-            4, [0.7, -1.1, 0.4, 0.9], **ONE_BIN[case]
-        ).generator
+        f"one_bin_{case}": lambda request, case=case: _inputs(
+            make_bundle(4, [0.7, -1.1, 0.4, 0.9], **ONE_BIN[case])
+        )
         for case in ONE_BIN
     },
 }
 
 
-def _energy_basis_matrix(G):
-    """G.full_matrix() rotated into the energy basis, on the row-major flat
-    positions i N + j of the state."""
-    N = G.dimension
-    U = G.eig.basis
+def _with_reference(inputs):
+    """The generator built from inputs, and the dense matrix of the same
+    generator from the test reference dense_generator."""
+    ham, diss = dense_generator(*inputs)
+    return build_generator(*inputs), ham.matrix + diss.matrix
+
+
+def _energy_basis_matrix(M, eig):
+    """The dense site-basis matrix M rotated into the energy basis, on the
+    row-major flat positions i N + j of the state."""
+    N = eig.dimension
+    U = eig.basis
     # column-stacked: vec(U^dag X U) = (U^T kron U^dag) vec(X)
     T = np.kron(U.T, U.conj().T)
-    M = T @ G.full_matrix() @ T.conj().T
+    M = T @ M @ T.conj().T
     stacked = np.arange(N * N).reshape(N, N).T.ravel()
     return M[np.ix_(stacked, stacked)]
 
 
 def _block_matrix(G):
-    """The N^2 x N^2 matrix that G.blocks describe, zero outside the blocks."""
+    """The N^2 x N^2 matrix of the generator's blocks, the dissipator's
+    plus the coherent diagonal, zero outside the blocks."""
     N = G.dimension
     out = np.zeros((N * N, N * N), dtype=complex)
     for part, B in _block_runs(G):
@@ -203,12 +226,13 @@ def _block_matrix(G):
     return out
 
 
-def _assert_blocks_match_dense(G):
+def _assert_blocks_match_dense(inputs):
+    G, M = _with_reference(inputs)
     N = G.dimension
     np.testing.assert_array_equal(np.sort(G.block_order), np.arange(N * N))
     sizes = [B.shape[1] for B in G.blocks]
     assert sizes == sorted(set(sizes))
-    want = _energy_basis_matrix(G)
+    want = _energy_basis_matrix(M, G.eig)
     assert np.max(np.abs(_block_matrix(G) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -218,9 +242,9 @@ def test_blocks_equal_the_rotated_dense_generator(request, model):
 
 
 def test_label_groups_alone_are_not_closed():
-    G = _non_closed()
+    G, M = _with_reference(_non_closed())
     assert len(G.frequencies_used) == 3
-    M = _energy_basis_matrix(G)
+    M = _energy_basis_matrix(M, G.eig)
     w = G.eig.energies
     labels = G.frequencies_used.nearest(w[:, None] - w[None, :]).ravel()
     across = labels[:, None] != labels[None, :]
@@ -236,7 +260,7 @@ def test_label_groups_alone_are_not_closed():
 )
 @given(chain_models(hoppings=st.sampled_from([1.0, 1e-3, 1e-6, 1e-12])))
 def test_blocks_equal_the_rotated_dense_generator_on_generated_chains(bundle):
-    _assert_blocks_match_dense(bundle.generator)
+    _assert_blocks_match_dense(_inputs(bundle))
 
 
 @st.composite
@@ -256,13 +280,13 @@ def label_maps(draw):
         frequencies=spectrum.frequencies,
         values=rng.uniform(0.1, 1.0, bins) + 1j * rng.normal(size=bins),
     )
-    return build_generator(V, table, eig)
+    return V, table, eig
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(label_maps())
-def test_blocks_are_exact_for_any_label_map(G):
-    _assert_blocks_match_dense(G)
+def test_blocks_are_exact_for_any_label_map(inputs):
+    _assert_blocks_match_dense(inputs)
 
 
 def test_identity_coupling_gives_zero_dissipator(ref4):
@@ -292,6 +316,26 @@ def test_generator_structural_invariants(ref4, rng):
     image = ref4.generator.apply_full(herm)
     np.testing.assert_allclose(image, image.conj().T, atol=1e-11)
     assert M.shape == (16, 16)
+
+
+def test_build_generator_forms_no_dense_matrix():
+    """The random chain of the ROADMAP Baseline at N = 48: the blocks take
+    O(N^3) memory, where one dense N^2 x N^2 complex matrix is 85 MB."""
+    N = 48
+    rng = np.random.default_rng(N)
+    potential = 0.3 * rng.normal(size=N)
+    ops = build_chain(ChainSpec(N, 1.0, potential, rng.uniform(-1.0, 1.0, N)))
+    eig = hermitian_eigensystem(ops.h)
+    spectrum = bohr_frequencies(eig, default_freq_tol(eig))
+    gplus = gplus_table(Exponential(gamma=0.1, kappa=5.0, omega=0.0), spectrum)
+    V = decompose(ops.v, eig, spectrum)
+    tracemalloc.start()
+    try:
+        build_generator(V, gplus, eig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_missing_bin_raises(ref4):
@@ -337,6 +381,28 @@ def test_adjoint_of_zero_dissipator(rng):
     assert not np.any(apply_adjoint(bundle.generator, A))
 
 
+@settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(chain_models(), st.sampled_from([1.0, 1e-2]))
+def test_adjoint_keeps_its_precision_on_weak_baths(bundle, scale):
+    """The blocks hold the dissipator alone, so its adjoint never cancels
+    the coherent part: on a weak bath that part is far larger than the
+    dissipator, and its rounding would swamp the image."""
+    coupling = bundle.engine.coupling
+    V = dataclasses.replace(coupling, source=scale * coupling.source)
+    inputs = (V, bundle.gplus, bundle.eig)
+    G = build_generator(*inputs)
+    reference = superop_adjoint(dense_generator(*inputs)[1])
+    N = G.dimension
+    for A in [*bundle.ops.n_ops, random_hermitian(np.random.default_rng(N), N)]:
+        want = reference.apply(A)
+        assert np.max(np.abs(apply_adjoint(G, A) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_dephasing_adjoint_damps_only_coherences():
     G = _dephasing(gamma=0.25)
     for r in range(2):
@@ -352,7 +418,7 @@ def test_dephasing_adjoint_damps_only_coherences():
 
 def test_evolve_matches_closed_form_relaxation():
     gamma = 0.3
-    G, _ = _two_level_flat(gamma=gamma)
+    G = build_generator(*_two_level_flat(gamma=gamma))
     traj = evolve(G, np.diag([1.0, 0.0]).astype(complex), 6.0, 0.004)
     p1 = np.array([rho[0, 0].real for rho in traj.states])
     expected = 0.5 * (1.0 + np.exp(-2.0 * gamma * traj.times))
@@ -362,7 +428,7 @@ def test_evolve_matches_closed_form_relaxation():
 
 
 def test_evolve_keeps_states_valid():
-    G, _ = _two_level_flat()
+    G = build_generator(*_two_level_flat())
     traj = evolve(G, np.diag([1.0, 0.0]).astype(complex), 2.0, 0.004)
     assert np.max(traj.herm_defects) <= 1e-10
     assert np.max(traj.trace_defects) <= 1e-10
@@ -408,23 +474,24 @@ def _site_state(n, site=0):
     return rho
 
 
-def _expm_steps(G, rho0, t_final, dt):
+def _expm_steps(M, rho0, t_final, dt):
     """Times and states of evolve's grid from the dense exact propagator
-    scipy.linalg.expm(h G.full_matrix()), applied step by step."""
+    scipy.linalg.expm(h M) of the reference matrix M, applied step by step."""
     n_steps = max(1, math.ceil(t_final / dt - 1e-12))
     h = t_final / n_steps
-    step = scipy.linalg.expm(h * G.full_matrix())
+    step = scipy.linalg.expm(h * M)
     r = vec(rho0)
     states = [rho0]
     for _ in range(n_steps):
         r = step @ r
-        states.append(unvec(r, G.dimension))
+        states.append(unvec(r, len(rho0)))
     return h * np.arange(n_steps + 1), states
 
 
-def _assert_exact_steps(G, rho0, t_final, dt):
+def _assert_exact_steps(inputs, rho0, t_final, dt):
+    G, M = _with_reference(inputs)
     got = evolve(G, rho0, t_final, dt)
-    times, want = _expm_steps(G, rho0, t_final, dt)
+    times, want = _expm_steps(M, rho0, t_final, dt)
     np.testing.assert_array_equal(got.times, times)
     assert got.herm_defects.shape == got.trace_defects.shape == times.shape
     assert len(got.states) == len(want)
@@ -440,8 +507,8 @@ def test_exact_steps_match_expm(request, model, rng):
     """Fine, coarse and single steps, and the two-level model at dt = 0.02,
     where dt times the generator's norm is 0.2, all follow the exact
     propagator to rounding."""
-    G = MODELS[model](request)
-    N = G.dimension
+    inputs = MODELS[model](request)
+    N = inputs[2].dimension
     if model == "two_level_flat":
         rho0 = np.diag([1.0, 0.0]).astype(complex)
     elif model in ("random8", "non_closed"):
@@ -449,7 +516,7 @@ def test_exact_steps_match_expm(request, model, rng):
     else:
         rho0 = _site_state(N)
     for t_final, dt in ((3.0, 0.01), (2.0, 0.02), (20.0, 0.5), (20.0, 20.0)):
-        _assert_exact_steps(G, rho0, t_final, dt)
+        _assert_exact_steps(inputs, rho0, t_final, dt)
 
 
 @settings(
@@ -466,7 +533,7 @@ def test_exact_steps_match_expm(request, model, rng):
 def test_exact_steps_match_expm_on_generated_chains(bundle, dt, n_steps):
     N = bundle.eig.dimension
     rho0 = random_density(np.random.default_rng(N), N)
-    _assert_exact_steps(bundle.generator, rho0, n_steps * dt, dt)
+    _assert_exact_steps(_inputs(bundle), rho0, n_steps * dt, dt)
 
 
 def test_positivity_guard_stops_at_first_bad_state():
@@ -477,11 +544,9 @@ def test_positivity_guard_stops_at_first_bad_state():
     first bad state is step 671; t = 2.7 ends it in the last, partial chunk
     of the positivity check, t = 50 in a full one.
     """
-    G, eig = _two_level_flat()
-    V = decompose(np.array([[0.0, 1.0], [1.0, 0.0]]), eig, G.frequencies_used)
-    negated = HalfFourierTable(
-        frequencies=G.gplus_used.frequencies, values=-G.gplus_used.values
-    )
+    V, gplus, eig = _two_level_flat()
+    G = build_generator(V, gplus, eig)
+    negated = HalfFourierTable(frequencies=gplus.frequencies, values=-gplus.values)
     bad = build_generator(V, negated, eig, positivity_tol=np.inf)
     np.testing.assert_array_equal(bad.dissipator.matrix, -G.dissipator.matrix)
     rho0 = np.diag([0.6, 0.4]).astype(complex)
@@ -491,15 +556,16 @@ def test_positivity_guard_stops_at_first_bad_state():
     evolve(bad, rho0, 2.0, 0.004)
 
 
-def _svd_steady_state(G):
-    """The stationary state from the SVD of the dense generator, the route
-    that the blocks' SVDs replaced."""
-    M = G.full_matrix()
+def _svd_steady_state(inputs):
+    """The stationary state from the SVD of the dense reference generator,
+    the route that the blocks' SVDs replaced."""
+    ham, diss = dense_generator(*inputs)
+    M = ham.matrix + diss.matrix
     _, svals, vh = np.linalg.svd(M)
     n_kernel = int(np.sum(svals <= KERNEL_CUTOFF))
     if n_kernel != 1:
         raise DegenerateKernel(f"{n_kernel} singular values below {KERNEL_CUTOFF}")
-    rho = unvec(vh[-1].conj(), G.dimension)
+    rho = unvec(vh[-1].conj(), inputs[2].dimension)
     rho = (rho + rho.conj().T) / 2.0
     tr = complex(np.trace(rho))
     if abs(tr) < 1e-8:
@@ -515,17 +581,18 @@ def _svd_steady_state(G):
     "model", ["asym4", "two_level_flat", "random8", "uniform6", "non_closed"]
 )
 def test_block_steady_state_matches_dense_svd(request, model):
-    G = MODELS[model](request)
-    assert np.max(np.abs(steady_state(G) - _svd_steady_state(G))) <= 1e-12
+    inputs = MODELS[model](request)
+    G = build_generator(*inputs)
+    assert np.max(np.abs(steady_state(G) - _svd_steady_state(inputs))) <= 1e-12
 
 
 @pytest.mark.parametrize("model", ["ref4", "silent", "one_bin_hopping_1e-12"])
 def test_block_steady_state_refuses_what_the_dense_svd_refuses(request, model):
-    G = MODELS[model](request)
+    inputs = MODELS[model](request)
     with pytest.raises(DegenerateKernel):
-        _svd_steady_state(G)
+        _svd_steady_state(inputs)
     with pytest.raises(DegenerateKernel):
-        steady_state(G)
+        steady_state(build_generator(*inputs))
 
 
 def test_steady_state_flat_noise_is_maximally_mixed():
