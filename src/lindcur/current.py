@@ -301,10 +301,10 @@ def jd_finite_time_oracle(
     spectrum: BohrSpectrum,
     kernel: CorrelationKernel,
     rho: np.ndarray,
-    t: float,
+    t: float | np.ndarray,
     dt: float,
     include_zero_mode: bool = False,
-) -> np.ndarray:
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Correction current from a direct finite-window time average.
 
     Trapezoidal quadrature of
@@ -319,33 +319,52 @@ def jd_finite_time_oracle(
     phase factor of its own bin (decompose's labels; no selection rule
     enters), so every bond is traced in one contraction.  The inner
     integral is triangle_convolution's per-bin running trapezoid, and the
-    window is walked in the chunks of sampled_window: each chunk's
-    trapezoid-weighted traces are added to one (N-1) total, so memory is
-    O(chunk N^2 + bins) whatever t is.  With the flag off the values
-    approach jd_expectation as t grows, with a 1/t envelope.  The input
-    checks of sampled_window apply; t must also reach the averaging
-    horizon.
+    window is walked in the chunks of sampled_window.  With the flag off
+    the values approach jd_expectation as t grows, with a 1/t envelope.
+
+    t is one window length or a sorted 1-D array of them.  The integrand
+    does not depend on the window length, so the grid of the longest
+    window is walked once and the outer trapezoid is kept as a running
+    sum; the value of each requested length is read off at the grid point
+    nearest to it.  Memory is O(chunk N^2 + bins + len(t) (N - 1))
+    whatever the lengths are.  For a scalar t returns the (N-1,) values
+    of that window; for an array returns (times, values): the grid times
+    used, shape (T,), and one row of values per time, shape (T, N-1).
+    The input checks of sampled_window apply; every t must be positive and
+    reach the averaging horizon.
     """
     rho = np.asarray(rho, dtype=complex)
     N = eig.dimension
     if rho.shape != (N, N):
         raise DimensionMismatch(f"state shape {rho.shape} vs dimension {N}")
+    lengths = np.atleast_1d(np.asarray(t, dtype=float))
+    if (
+        lengths.ndim != 1
+        or len(lengths) == 0
+        or lengths[0] <= 0
+        or np.any(np.diff(lengths) < 0)
+    ):
+        raise ValueError("t must be a positive number or a sorted 1-D array of them")
     coupling = decompose(ops.v, eig, spectrum)
-    h, chunks = sampled_window(coupling, kernel, t, dt)
+    h, chunks = sampled_window(coupling, kernel, float(lengths[-1]), dt)
     freqs = spectrum.frequencies
     nonzero = np.abs(freqs) > spectrum.bin_tolerance
     if np.any(nonzero):
         horizon = ORACLE_HORIZON / float(np.min(np.abs(freqs[nonzero])))
-        if t < horizon:
+        if lengths[0] < horizon:
             raise ValueError(
-                f"t={t:.3g} is below the averaging horizon {horizon:.3g}"
+                f"t={lengths[0]:.3g} is below the averaging horizon {horizon:.3g}"
             )
+    ends = np.maximum(np.rint(lengths / h).astype(int), 1)
     rho_en = eig.to_energy_basis(rho)
     J_en = eig.basis.conj().T @ np.array(ops.j_ops) @ eig.basis
     i_freqs = 1j * np.where(nonzero, freqs, 1.0)
-    total = np.zeros(N - 1, dtype=complex)
+    totals = np.empty((len(ends), N - 1), dtype=complex)
+    running = np.zeros(N - 1, dtype=complex)  # integrand summed over the samples walked
+    head = None  # the integrand at s = 0
     carry = None
-    for s, w, g, phase, V_s in chunks:
+    start = 0
+    for s, _, g, phase, V_s in chunks:
         C, carry = triangle_convolution(coupling, phase, g, V_s, h, carry)
         CR = (C.reshape(-1, N) @ rho_en).reshape(C.shape)  # one GEMM per chunk
         D = CR @ V_s - V_s @ CR
@@ -354,8 +373,19 @@ def jd_finite_time_oracle(
         integrand = np.einsum(
             "bij,tji,tij->bt", J_en, D, zfac[:, coupling.labels], optimize=True
         )
-        total += (integrand * w).sum(axis=1)
-    return 2.0 * (-total / t).real
+        if head is None:
+            head = integrand[:, 0]
+        sums = running[:, None] + np.cumsum(integrand, axis=1)
+        here = (ends >= start) & (ends < start + len(s))
+        k = ends[here] - start
+        totals[here] = (h * (sums[:, k] - 0.5 * (head[:, None] + integrand[:, k]))).T
+        running = sums[:, -1]
+        start += len(s)
+    used = h * ends
+    values = 2.0 * (-totals / used[:, None]).real
+    if np.ndim(t) == 0:
+        return values[0]
+    return used, values
 
 
 def divergence_identity_check(

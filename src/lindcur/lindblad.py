@@ -340,12 +340,22 @@ def _expm(M: np.ndarray, h: float) -> np.ndarray:
 
 def _guard_positivity(chunk: np.ndarray, first: int, h: float) -> None:
     """Raise PositivityLost for the earliest chunk[i], the stored state
-    first + i, whose lowest eigenvalue is below POSITIVITY_FLOOR."""
-    lows = np.linalg.eigvalsh(chunk).min(axis=1)
-    bad = np.flatnonzero(lows < POSITIVITY_FLOOR)
-    if len(bad):
-        i = int(bad[0])
-        raise PositivityLost(f"eigenvalue {lows[i]:.3e} at t={h * (first + i):.6g}")
+    first + i, whose lowest eigenvalue is below POSITIVITY_FLOOR.
+
+    One batched Cholesky factorisation of chunk - POSITIVITY_FLOOR I
+    certifies every state of the chunk at once; eigvalsh runs only for a
+    chunk that it rejects, and decides which state, if any, is bad.
+    """
+    try:
+        np.linalg.cholesky(chunk - POSITIVITY_FLOOR * np.eye(chunk.shape[-1]))
+    except np.linalg.LinAlgError:
+        lows = np.linalg.eigvalsh(chunk).min(axis=1)
+        bad = np.flatnonzero(lows < POSITIVITY_FLOOR)
+        if len(bad):
+            i = int(bad[0])
+            raise PositivityLost(
+                f"eigenvalue {lows[i]:.3e} at t={h * (first + i):.6g}"
+            ) from None
 
 
 def evolve(
@@ -353,26 +363,29 @@ def evolve(
 ) -> Trajectory:
     """Exact fixed-step propagation of the master equation.
 
-    The generator is linear, so the state after a step of size h is the
-    product with exp(hM).  The exponential of a block-diagonal matrix is
-    block-diagonal, so exp(hB) is formed once per block (_block_runs,
-    _expm), and the state is kept in the energy basis, in block order.  A
-    step is one batched mat-vec per block size, a gather of each entry's
-    mirror (i, j) -> (j, i) to re-Hermitize, and a sum over the diagonal
-    positions for the trace: a fixed number of numpy calls however many
-    blocks there are, and O(sum of m^2) work over the blocks m x m (O(N^2)
-    on a chain with distinct gaps, where every block but the N x N
-    population block is 1 x 1).  There is no truncation error and no
-    stability bound: dt only sets the spacing of the stored states.
+    The generator is linear, so the state after k steps of size h is the
+    product with exp(hM)^k.  The exponential of a block-diagonal matrix is
+    block-diagonal, so P = exp(hB) is formed once per block (_block_runs,
+    _expm), and the state is kept in the energy basis, in block order.
+    The steps are taken in chunks of c states, c = min(POSITIVITY_CHUNK,
+    CHUNK_BYTES // (16 sum of m^2)) over the blocks m x m, at least 1: the
+    table P, P^2, ..., P^c is formed once per block by repeated products,
+    and a chunk is one batched product of the table with the state that
+    starts it, per block size (an elementwise product for 1 x 1 blocks).
+    Every state of the chunk is then re-Hermitized through a gather of
+    each entry's mirror (i, j) -> (j, i) and trace-renormalized, all at
+    once, and the next chunk starts from the last corrected state.  There
+    is no truncation error and no stability bound: dt only sets the
+    spacing of the stored states.
 
-    Stores the state at every step.  Each stored state is re-Hermitized and
-    trace-renormalized; the applied correction magnitudes are recorded in
-    the trajectory so drift never disappears silently (the Hermiticity
-    correction is measured in the energy basis).  The steps are taken in
-    chunks of POSITIVITY_CHUNK.  After each chunk positivity is checked
-    with one batched eigvalsh, so at most that many steps are taken past a
-    state that has lost it; then the chunk is rotated to the site basis and
-    Hermitized there.  Besides the stored states, memory is O(chunk N^2).
+    Stores the state at every step.  The applied correction magnitudes
+    are recorded in the trajectory so drift never disappears silently (the
+    Hermiticity correction is measured in the energy basis).  After each
+    chunk positivity is certified (_guard_positivity), so at most c steps
+    are taken past a state that has lost it; then the chunk is rotated to
+    the site basis and Hermitized there.  Besides the stored states,
+    memory is O(c sum of m^2): the power tables, at most CHUNK_BYTES, and
+    a few (c, N, N) stacks.
 
     Raises ValueError for dt <= 0 or t_final < 0 (before any matrix is
     built) and PositivityLost for the first state with an eigenvalue below
@@ -397,44 +410,43 @@ def evolve(
     where = np.empty_like(order)
     where[order] = np.arange(N * N)
     mirror = where[(order % N) * N + order // N]
-    on_diagonal = np.zeros(N * N, dtype=complex)
-    on_diagonal[where[:: N + 1]] = 1.0
-    # the state x and its image y under the step, with a view of each run
-    # of equal-size blocks
-    x = G.eig.to_energy_basis(rho0).ravel()[order]
-    y = np.empty_like(x)
-    x_real = x.view(float)
-    steps = []
+    diagonal = where[:: N + 1]
+    entries = sum(B.size for B in G.blocks)
+    c = min(POSITIVITY_CHUNK, max(1, CHUNK_BYTES // (16 * entries)))
+    tables = []
     for part, B in _block_runs(G):
-        P = _expm(B, h)
-        if B.shape[1] == 1:  # 1 x 1 blocks scale their entries
-            steps.append((np.multiply, P.ravel(), x[part], y[part]))
-        else:
-            shape = (*B.shape[:2], 1)
-            x_part, y_part = x[part].reshape(shape), y[part].reshape(shape)
-            steps.append((np.matmul, P, x_part, y_part))
+        P = _expm(B, h)  # before the table, so their peaks do not add up
+        table = np.empty((c, *P.shape), dtype=complex)
+        table[0] = P
+        for k in range(1, c):
+            np.matmul(table[k - 1], P, out=table[k])
+        tables.append((part, table))
+    x = G.eig.to_energy_basis(rho0).ravel()[order]
     U = G.eig.basis
     states = [rho0.copy()]
     herm_defects = [np.zeros(1)]
     trace_defects = [np.zeros(1)]
-    for first in range(1, n_steps + 1, POSITIVITY_CHUNK):
-        size = min(POSITIVITY_CHUNK, n_steps + 1 - first)
+    for first in range(1, n_steps + 1, c):
+        size = min(c, n_steps + 1 - first)
         raw = np.empty((size, N * N), dtype=complex)
-        done = np.empty((size, N * N), dtype=complex)
-        traces = np.empty(size)
-        for s in range(size):
-            for apply, P, x_part, y_part in steps:
-                apply(P, x_part, out=y_part)
-            raw[s] = y
-            # twice the Hermitian part, then one division for both the
-            # halving and the trace; dividing the real view by the real
-            # trace rounds as a complex division by it does
-            np.add(y, y[mirror].conj(), out=x)
-            traces[s] = tr = np.dot(on_diagonal, x).real
-            x_real /= tr
-            done[s] = x
-        herm_defects.append(np.max(np.abs(raw - raw[:, mirror].conj()), axis=1))
+        for part, table in tables:
+            count, m = table.shape[1:3]
+            if m == 1:  # 1 x 1 blocks scale their entries
+                powers = table[:size].reshape(size, count)
+                np.multiply(powers, x[part], out=raw[:, part])
+            else:
+                y = table[:size] @ x[part].reshape(count, m, 1)
+                raw[:, part] = y.reshape(size, -1)
+        # twice the Hermitian part, then one division for both the halving
+        # and the trace; dividing the real view by the real trace rounds as
+        # a complex division by it does
+        mirrored = raw[:, mirror].conj()
+        done = raw + mirrored
+        traces = done[:, diagonal].real.sum(axis=1)
+        np.divide(done.view(float), traces[:, None], out=done.view(float))
+        herm_defects.append(np.max(np.abs(raw - mirrored), axis=1))
         trace_defects.append(np.abs(traces / 2.0 - 1.0))
+        x = done[-1]
         energy = np.empty_like(done)
         energy[:, order] = done
         energy = energy.reshape(size, N, N)

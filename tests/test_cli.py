@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindcur import cli
 from lindcur.cli import main
@@ -194,6 +196,45 @@ def test_verify_oracle_rejects_flat_noise(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "pointwise" in captured.err
     assert captured.out == ""
+
+
+def _uniform_chain(coupling):
+    """The zero-potential four-site chain of the uniform verify workload."""
+    return {
+        "model": {"n_sites": 4, "potential": [0.0] * 4, "coupling": list(coupling)},
+        "bath": {"type": "exponential", "gamma": 0.1, "kappa": 5.0},
+        "run": {"t_final": 10.0, "dt": 0.01, "initial_state": "site:0"},
+    }
+
+
+def test_verify_oracle_passes_where_the_error_oscillates(tmp_path, capsys):
+    """On this chain the oracle's error oscillates under its 1 / t envelope
+    and is larger at 200 / w_min than at 50 / w_min, so a comparison of
+    those two point values fails; the envelope check passes."""
+    coupling = [
+        0.018742983402663116,
+        0.8588781452149503,
+        0.4182496300491896,
+        0.20679161625823084,
+    ]
+    cfg = _config(tmp_path, _uniform_chain(coupling))
+    assert main(["verify", "--config", cfg, "--suite", "oracle"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [CHECK_LINE.match(line).group(4) for line in lines] == ["PASS"] * 3
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_oracle_checks_pass_on_uniform_chains(tmp_path_factory, coupling):
+    directory = tmp_path_factory.mktemp("uniform")
+    wb = cli.build_workbench(parse_config(_config(directory, _uniform_chain(coupling))))
+    checks = cli._oracle_checks(wb)
+    assert [c.name for c in checks] == [
+        "oracle_spectral_vs_cumulative",
+        "oracle_finite_time",
+        "oracle_error_decreasing",
+    ]
+    assert all(c.passed for c in checks), checks
 
 
 def test_verify_all_trivial_for_decoupled_bath(tmp_path, capsys):

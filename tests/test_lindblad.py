@@ -36,6 +36,7 @@ from lindcur import (
     steady_state,
     superop_adjoint,
 )
+from lindcur import lindblad
 from lindcur.current import jd_observables
 from lindcur.linalg import unvec, vec
 from lindcur.lindblad import KERNEL_CUTOFF, _block_runs
@@ -554,6 +555,70 @@ def test_positivity_guard_stops_at_first_bad_state():
         with pytest.raises(PositivityLost, match=r"^eigenvalue -4\.813e-04 at t=2\.684$"):
             evolve(bad, rho0, t_final, 0.004)
     evolve(bad, rho0, 2.0, 0.004)
+
+
+@pytest.mark.parametrize("n_steps", [63, 64, 65, 129])
+@pytest.mark.parametrize("tables", [None, 5])
+@pytest.mark.parametrize("model", ["two_level_flat", "uniform6", "random8"])
+def test_exact_steps_across_chunk_boundaries(
+    request, monkeypatch, model, tables, n_steps
+):
+    """Each chunk of stored states is one product of the power table with
+    the corrected last state of the chunk before it, and the last chunk may
+    be partial.  Chunks hold POSITIVITY_CHUNK = 64 states, or, with tables
+    set, CHUNK_BYTES fits only that many powers of the blocks."""
+    inputs = MODELS[model](request)
+    if tables is not None:
+        entries = sum(B.size for B in build_generator(*inputs).blocks)
+        monkeypatch.setattr(lindblad, "CHUNK_BYTES", tables * 16 * entries)
+    rho0 = random_density(np.random.default_rng(n_steps), inputs[2].dimension)
+    _assert_exact_steps(inputs, rho0, 0.25 * n_steps, 0.25)
+
+
+def test_power_table_stays_within_chunk_bytes():
+    """With hopping 1e-12 every gap shares one bin, so the generator is one
+    N^2 x N^2 block: 64 KB at N = 8, and 64 powers of it would take 4 MB.
+    The chunk is cut to the powers that fit in CHUNK_BYTES, so one step of
+    evolve peaks at most CHUNK_BYTES above one exponential of the block."""
+    N = 8
+    coupling = np.random.default_rng(N).uniform(-1.0, 1.0, N)
+    bundle = make_bundle(N, coupling, hopping=1e-12)
+    G = bundle.generator
+    ((_, B),) = _block_runs(G)
+    assert B.shape == (1, N * N, N * N)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_exp = peak(lambda: lindblad._expm(B, 0.01))
+    one_step = peak(lambda: evolve(G, _site_state(N), 0.01, 0.01))
+    assert one_step <= lindblad.CHUNK_BYTES + one_exp
+
+
+def _diagonal_chunk(lows):
+    """One 3 x 3 diagonal state per entry of lows, with that lowest eigenvalue."""
+    chunk = np.zeros((len(lows), 3, 3), dtype=complex)
+    chunk[:, range(3), range(3)] = 0.5
+    chunk[:, 2, 2] = lows
+    return chunk
+
+
+@pytest.mark.parametrize("low", [-0.99e-6, lindblad.POSITIVITY_FLOOR])
+def test_positivity_guard_passes_down_to_the_floor(low):
+    """-0.99e-6 passes the Cholesky certificate; at the floor itself the
+    factorisation fails and eigvalsh decides."""
+    lindblad._guard_positivity(_diagonal_chunk([0.0, low, 0.1, low]), 3, 0.25)
+
+
+def test_positivity_guard_names_the_first_state_below_the_floor():
+    lows = [0.0, -0.5e-6, lindblad.POSITIVITY_FLOOR, 0.0, 0.2, -1.01e-6, 0.0, -0.3]
+    with pytest.raises(PositivityLost, match=r"^eigenvalue -1\.010e-06 at t=2$"):
+        lindblad._guard_positivity(_diagonal_chunk(lows), 3, 0.25)
 
 
 def _svd_steady_state(inputs):

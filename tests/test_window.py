@@ -256,6 +256,36 @@ def test_chunk_size_does_not_change_the_quadratures(ref4, monkeypatch):
         _assert_agree(pre, first_pre, CHUNK_AGREEMENT)
 
 
+def test_oracle_ladder_reads_each_window_off_one_pass(ref4, short_chunks):
+    """Every window of a ladder ends at the grid point of the longest window
+    nearest to its length, and its value is that window's own quadrature."""
+    short_chunks(4)
+    rho = random_density(np.random.default_rng(7), 4)
+    t, bound = _oracle_window(ref4)
+    lengths = t * np.array([1.0, 1.37, 1.37, 2.0, 3.1])
+    args = (ref4.ops, ref4.eig, ref4.spectrum, ref4.kernel, rho)
+    used, values = lc.jd_finite_time_oracle(*args, lengths, bound / 2.0)
+    n = math.ceil(lengths[-1] / (bound / 2.0))
+    h = lengths[-1] / n
+    assert values.shape == (len(lengths), 3)
+    np.testing.assert_allclose(used / h, np.rint(lengths / h), rtol=1e-12)
+    assert used[-1] == lengths[-1]
+    longest = lc.jd_finite_time_oracle(*args, lengths[-1], bound / 2.0)
+    _assert_agree(values[-1], longest, 0.0)
+    for length, row in zip(used, values):
+        # the same grid: a step just above h gives the window length / h steps
+        want = reference_oracle(*args, length, h * (1.0 + 1e-9))
+        _assert_agree(row, want, AGREEMENT)
+
+
+@pytest.mark.parametrize("t", [[], [[5.0]], [6.0, 5.0], [0.0, 5.0]])
+def test_oracle_ladder_input_guards(two_level, t):
+    rho = np.eye(2, dtype=complex) / 2.0
+    args = (two_level.ops, two_level.eig, two_level.spectrum, two_level.kernel, rho)
+    with pytest.raises(ValueError):
+        lc.jd_finite_time_oracle(*args, np.array(t), 0.004)
+
+
 @pytest.mark.parametrize("case", ["random12", "one_bin"])
 def test_sampled_window_gathers_the_interaction_picture(short_chunks, case):
     """V_s gathered from the per-bin phases is the interaction picture, bit
