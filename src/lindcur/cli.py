@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import math
 import os
@@ -45,7 +46,9 @@ ORACLE_LADDER = (50.0, 100.0, 200.0)  # window lengths, in units of 1 / w_min
 ORACLE_PER_OCTAVE = 32
 PRELINDBLAD_LADDER = (25.0, 50.0, 100.0, 200.0)
 ABSOLUTE_FLOOR = 1e-12
-CSV_BLOCK = 256
+CSV_BLOCK = 4096  # rows formatted per write
+POW10_MIN, POW10_MAX = -300, 308  # decimal powers the formatter scales by
+EXP_MAX = 300  # largest |exponent| in the formatter's table
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,25 +100,139 @@ def build_workbench(cfg: Config) -> Workbench:
     return Workbench(cfg, ops, eig, spectrum, kernel, gplus, generator, engine)
 
 
+def _byte_table(texts, dtype) -> np.ndarray:
+    """The equal-length ASCII texts as one dtype-wide word each, so that a
+    gather of words followed by a uint8 view yields their bytes."""
+    return np.frombuffer("".join(texts).encode("ascii"), dtype=dtype).copy()
+
+
+@functools.cache
+def _format_tables():
+    """Lookup tables of the vectorised %e formatter, built on first use."""
+    powers = np.array([float(f"1e{k}") for k in range(POW10_MIN, POW10_MAX + 1)])
+    # the 10 000 4-digit groups as pairs of the 100 2-digit ones: 10 000
+    # transient strings would leave most of a megabyte of heap behind
+    pairs = _byte_table((f"{i:02d}" for i in range(100)), np.uint16)
+    groups = np.empty((100, 100, 2), np.uint16)
+    groups[:, :, 0] = pairs[:, None]
+    groups[:, :, 1] = pairs
+    groups = groups.view(np.uint32).ravel()
+    exponents = _byte_table(
+        (f"{e:+03d}".ljust(4, "\0") for e in range(-EXP_MAX, EXP_MAX + 1)),
+        np.uint32,
+    )
+    leads = _byte_table(
+        (f"{sign}{d}" for sign in ("\0", "-") for d in range(10)), np.uint16
+    )
+    return powers, groups, exponents, leads
+
+
+def _format_fallback(values, prec) -> np.ndarray:
+    """'%.{prec}e' % v of each value by Python itself, as (k, prec + 8)
+    uint8 slots padded with zero bytes."""
+    width = prec + 8
+    text = (f"%-{width}.{prec}e" * len(values)) % tuple(values.tolist())
+    slots = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, width).copy()
+    slots[slots == ord(" ")] = 0
+    return slots
+
+
+def _float_slots(x, prec) -> np.ndarray:
+    """'%.{prec}e' % v of each value of the 1-D float array x, as
+    (len(x), prec + 8) uint8 slots padded with zero bytes.
+
+    e = floor(log10|x|) is corrected by one where the scaled value
+    s = |x| 10^(prec - e) falls outside [10^prec, 10^(prec + 1)), and
+    m = rint(s) holds the digits.  The power comes from a table of
+    correctly rounded 1e<k>, so s carries two roundings and lies within
+    10^(prec + 1) 2.3e-16 of its exact value.  m is therefore the
+    correctly rounded mantissa (the certificate) wherever
+    |frac(s) - 1/2| > 10^(prec + 1) 4.5e-16, m < 10^(prec + 1) and
+    1e-290 <= |x| < 1e290.  Zeros are exact.  Every other value goes to
+    _format_fallback and lands in the same slot: near-ties, round-ups into
+    the next decade, nan, inf, extreme exponents, about nine in ten values
+    at prec = 14 and every one from prec = 15, where the margin exceeds 1/2.
+    """
+    powers, groups, exponents, leads = _format_tables()
+    a = np.abs(x)
+    zero = a == 0.0
+    regular = (a >= 1e-290) & (a < 1e290)
+    safe = np.where(regular, a, 1.0)
+    e = np.floor(np.log10(safe)).astype(np.intp)
+    s = safe * powers[prec - e - POW10_MIN]
+    e += (s >= 10.0 ** (prec + 1)).astype(np.intp) - (s < 10.0**prec)
+    s = safe * powers[prec - e - POW10_MIN]
+    m = np.rint(s)
+    fast = (
+        regular
+        & (np.abs(s - np.floor(s) - 0.5) > 10.0 ** (prec + 1) * 4.5e-16)
+        & (m < 10.0 ** (prec + 1))
+    )
+    # zeros, and the placeholders of the values left to the fallback
+    m = np.where(fast, m, 0.0)
+    e = np.where(fast, e, 0)
+    # digits: the lead digit, then the prec-digit rest in 4-digit groups,
+    # by float division, which is exact on integers below 2^53
+    lead = np.floor(m / 10.0**prec)
+    rest = m - lead * 10.0**prec
+    n_groups = -(-prec // 4)
+    words = np.empty((len(x), n_groups), np.uint32)
+    for j in range(n_groups):
+        unit = 10.0 ** (4 * (n_groups - 1 - j))
+        g = np.floor(rest / unit)
+        rest -= g * unit
+        words[:, j] = groups[g.astype(np.intp)]
+    digits = words.view(np.uint8)[:, 4 * n_groups - prec :]
+    slots = np.empty((len(x), prec + 8), np.uint8)
+    slots[:, :2] = leads[lead.astype(np.intp) + 10 * np.signbit(x)].view(
+        np.uint8
+    ).reshape(-1, 2)
+    slots[:, 2] = ord(".")
+    slots[:, 3 : 3 + prec] = digits
+    slots[:, 3 + prec] = ord("e")
+    slots[:, 4 + prec :] = exponents[e + EXP_MAX].view(np.uint8).reshape(-1, 4)
+    slow = ~(fast | zero)
+    if slow.any():
+        slots[slow] = _format_fallback(x[slow], prec)
+    return slots
+
+
 def _write_table(path, header, prec, times, columns) -> None:
     """One CSV: a row per (time, index) with the (T, n) columns' values.
 
-    Rows are formatted CSV_BLOCK states at a time with one %-template, so
-    the text held at once stays bounded on long trajectories.
+    A block of rows is one uint8 array in which every field has a
+    fixed-width slot padded with zero bytes: the time (formatted once per
+    state by _float_slots and repeated over its n rows), the index '%d,'
+    from a table, then each column's '%.{prec}e' slot, each float slot
+    followed by ',' or, at the end of the row, '\n'.  Dropping the zero
+    bytes leaves the text, which is written as bytes.  A block holds
+    CSV_BLOCK rows (whole states, at least one), so the slots held at once
+    stay bounded at any T and N.
     """
     n = columns[0].shape[1]
-    row = f"%.{prec}e,%d" + f",%.{prec}e" * len(columns) + "\n"
-    index = list(range(n))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header)
-        for start in range(0, len(times), CSV_BLOCK):
-            block = slice(start, start + CSV_BLOCK)
-            rows = zip(
-                np.repeat(times[block], n).tolist(),
-                index * len(times[block]),
-                *(c[block].ravel().tolist() for c in columns),
-            )
-            fh.write("".join(row % r for r in rows))
+    width = prec + 9
+    index_width = len(str(n - 1)) + 1
+    index = _byte_table(
+        (f"{i},".ljust(index_width, "\0") for i in range(n)), np.uint8
+    ).reshape(n, index_width)
+    states = max(1, CSV_BLOCK // n)
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        for start in range(0, len(times), states):
+            block = slice(start, start + states)
+            t = len(times[block])
+            rows = np.empty((t, n, width * (1 + len(columns)) + index_width), np.uint8)
+            rows[:, :, : width - 1] = _float_slots(times[block], prec)[:, None]
+            rows[:, :, width - 1] = ord(",")
+            rows[:, :, width : width + index_width] = index
+            for k, column in enumerate(columns):
+                at = width + index_width + k * width
+                rows[:, :, at : at + width - 1] = _float_slots(
+                    column[block].ravel(), prec
+                ).reshape(t, n, -1)
+                rows[:, :, at + width - 1] = ord(",")
+            rows[:, :, -1] = ord("\n")
+            fh.write(rows[rows != 0])
 
 
 def _write_csvs(wb: Workbench, traj: Trajectory, out_dir: str) -> None:

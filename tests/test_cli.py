@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -342,17 +344,19 @@ def test_negative_bath_spectrum_exits_two(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy():
+    """Importing the CLI stays cheap: no scipy, and no formatter table."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys, lindcur.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+        "print(lindcur.cli._format_tables.cache_info().currsize)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n")[:2] == ["[]", "0"]
 
 
 def _per_value_writer(report, n_sites, prec, out_dir):
@@ -409,7 +413,7 @@ def _crafted_report(n_states, n_sites):
     )
 
 
-@pytest.mark.parametrize("precision", [1, 12, 17])
+@pytest.mark.parametrize("precision", [1, 2, 12, 13, 14, 17])
 def test_columnar_csvs_match_per_value_writer(tmp_path, monkeypatch, precision):
     cfg = parse_config(
         _config(tmp_path, {"model": {"n_sites": 3}, "run": {"t_final": 0.1, "dt": 0.005}})
@@ -425,3 +429,109 @@ def test_columnar_csvs_match_per_value_writer(tmp_path, monkeypatch, precision):
     for name in ("density.csv", "currents.csv"):
         got = (tmp_path / "columnar" / name).read_bytes()
         assert got == (tmp_path / "per_value" / name).read_bytes()
+
+
+def _step(value, ulps):
+    """value moved by ulps units in the last place."""
+    for _ in range(abs(ulps)):
+        value = float(np.nextafter(value, math.copysign(math.inf, ulps)))
+    return value
+
+
+def _format_values(prec):
+    """Floats over all exponents, and the values where a %e formatter goes
+    wrong: decade edges and values just below them, near-ties of the last
+    digit, round-ups into the next decade, and the specials."""
+    exponent = st.integers(-300, 280)
+    ulps = st.integers(-2, 2)
+    magnitudes = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.builds(
+            lambda k, d: float(np.nextafter(10.0**k, d)),
+            st.integers(-307, 308),
+            st.sampled_from([math.inf, -math.inf]),
+        ),
+        st.builds(
+            lambda k, d, f: 10.0**k * (1.0 - f * 10.0**-d),
+            exponent,
+            st.integers(1, 17),
+            st.floats(0.1, 9.9),
+        ),
+        st.builds(
+            lambda m, k, u: _step((m + 0.5) * 10.0**k, u),
+            st.integers(10**prec, 10 ** (prec + 1) - 1),
+            exponent,
+            ulps,
+        ),
+        st.builds(
+            lambda k, u: _step((10 ** (prec + 1) - 0.5) * 10.0**k, u),
+            exponent,
+            ulps,
+        ),
+        st.sampled_from(
+            [0.0, -0.0, 5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf,
+             9.9999999999995e-3]
+        ),
+    )
+    return st.tuples(magnitudes, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.integers(1, 17).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(_format_values(p), min_size=1, max_size=16))
+))
+def test_float_slots_hold_the_bytes_of_percent_e(case):
+    prec, values = case
+    slots = cli._float_slots(np.array(values), prec)
+    for value, slot in zip(values, slots):
+        assert bytes(slot[slot != 0]) == (f"%.{prec}e" % value).encode(), (prec, value)
+
+
+def test_fast_path_formats_nearly_every_value(monkeypatch):
+    fallback = []
+
+    def spy(values, prec):
+        fallback.extend(values.tolist())
+        return real(values, prec)
+
+    real = cli._format_fallback
+    monkeypatch.setattr(cli, "_format_fallback", spy)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=10_000) * 10.0 ** rng.uniform(-6, 2, 10_000)
+    slots = cli._float_slots(x, 12)
+    assert bytes(slots[slots != 0]) == "".join("%.12e" % v for v in x).encode()
+    assert len(fallback) < 0.02 * len(x)
+
+
+def test_csvs_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    report = _crafted_report(700, 7)
+    columns = [report.site_density, report.dn_dt, report.residual_raw]
+    cli._write_table(tmp_path / "default.csv", "h\n", 12, report.times, columns)
+    monkeypatch.setattr(cli, "CSV_BLOCK", 1)
+    cli._write_table(tmp_path / "one_state.csv", "h\n", 12, report.times, columns)
+    assert (tmp_path / "default.csv").read_bytes() == (
+        tmp_path / "one_state.csv"
+    ).read_bytes()
+
+
+def _write_table_peak(path, n_states, n_sites):
+    rng = np.random.default_rng(n_states + n_sites)
+    times = np.arange(n_states) * 0.01
+    columns = [
+        rng.normal(size=(n_states, n_sites)) * 10.0 ** rng.uniform(-6, 2, (n_states, n_sites))
+        for _ in range(5)
+    ]
+    tracemalloc.start()
+    try:
+        cli._write_table(path, "h\n", 12, times, columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_table_memory_is_bounded_by_rows(tmp_path):
+    short = _write_table_peak(tmp_path / "short.csv", 2_001, 4)
+    long = _write_table_peak(tmp_path / "long.csv", 10_001, 4)
+    bound = 1.1 * min(short, long)
+    assert max(short, long) <= bound, (short, long)
+    assert _write_table_peak(tmp_path / "wide.csv", 201, 64) <= bound
