@@ -317,10 +317,24 @@ def jd_finite_time_oracle(
     (exp(i w s) - 1)/(i w), plus the s-linear zero-bin term only when
     include_zero_mode is set.  Each energy-basis entry of J_b carries the
     phase factor of its own bin (decompose's labels; no selection rule
-    enters), so every bond is traced in one contraction.  The inner
-    integral is triangle_convolution's per-bin running trapezoid, and the
-    window is walked in the chunks of sampled_window.  With the flag off
-    the values approach jd_expectation as t grows, with a 1/t envelope.
+    enters).  The inner integral is triangle_convolution's per-bin running
+    trapezoid, and the window is walked in the chunks of sampled_window.
+    With the flag off the values approach jd_expectation as t grows, with a
+    1/t envelope.
+
+    The integrand is evaluated in sampled_window's rotating frame.  With
+    P = diag(u_s), V_s = P V conj(P) and C_s = P R_s conj(P) (R_s from
+    triangle_convolution), so
+
+        D_s = C_s rho V_s - V_s C_s rho = P E_s,
+        E_s = (Y_s P) V conj(P) - V Y_s,   Y_s = R_s conj(P) rho:
+
+    three products with the constant rho and V between O(N^2) elementwise
+    phases per sample.  Entry (i, j) of Z's phase factor times the u_j that
+    D_ji takes from P is (u_i - u_j)/(i w), so every bond is traced against
+    E_s in one (N - 1, N^2) @ (N^2, chunk) product.  The frame phase of
+    entry (i, j) is its bin's to rounding where bins are additive, and
+    within 3 bin_tolerance s of it otherwise.
 
     t is one window length or a sorted 1-D array of them.  The integrand
     does not depend on the window length, so the grid of the longest
@@ -330,49 +344,54 @@ def jd_finite_time_oracle(
     whatever the lengths are.  For a scalar t returns the (N-1,) values
     of that window; for an array returns (times, values): the grid times
     used, shape (T,), and one row of values per time, shape (T, N-1).
-    The input checks of sampled_window apply; every t must be positive and
-    reach the averaging horizon.
+    The input checks of sampled_window apply; every t must reach the
+    averaging horizon.
     """
     rho = np.asarray(rho, dtype=complex)
     N = eig.dimension
     if rho.shape != (N, N):
         raise DimensionMismatch(f"state shape {rho.shape} vs dimension {N}")
-    lengths = np.atleast_1d(np.asarray(t, dtype=float))
-    if (
-        lengths.ndim != 1
-        or len(lengths) == 0
-        or lengths[0] <= 0
-        or np.any(np.diff(lengths) < 0)
-    ):
-        raise ValueError("t must be a positive number or a sorted 1-D array of them")
     coupling = decompose(ops.v, eig, spectrum)
-    h, chunks = sampled_window(coupling, kernel, float(lengths[-1]), dt)
+    h, ends, chunks = sampled_window(coupling, kernel, t, dt)
     freqs = spectrum.frequencies
     nonzero = np.abs(freqs) > spectrum.bin_tolerance
     if np.any(nonzero):
         horizon = ORACLE_HORIZON / float(np.min(np.abs(freqs[nonzero])))
-        if lengths[0] < horizon:
+        shortest = float(np.min(t))
+        if shortest < horizon:
             raise ValueError(
-                f"t={lengths[0]:.3g} is below the averaging horizon {horizon:.3g}"
+                f"t={shortest:.3g} is below the averaging horizon {horizon:.3g}"
             )
-    ends = np.maximum(np.rint(lengths / h).astype(int), 1)
+    V = coupling.source
     rho_en = eig.to_energy_basis(rho)
     J_en = eig.basis.conj().T @ np.array(ops.j_ops) @ eig.basis
-    i_freqs = 1j * np.where(nonzero, freqs, 1.0)
+    # row b, column (j, i): J_b[i, j], against entry (j, i) of D_s Z
+    J_rows = J_en.transpose(0, 2, 1).reshape(N - 1, N * N)
+    # entry [j, i]: 1/(i w) of the bin of (i, j), 0 on the zero bin
+    entry_nonzero = nonzero[coupling.labels].T
+    inv_iw = np.zeros((N, N), dtype=complex)
+    inv_iw[entry_nonzero] = 1.0 / (1j * freqs[coupling.labels].T[entry_nonzero])
+    zero_entries = ~entry_nonzero
     totals = np.empty((len(ends), N - 1), dtype=complex)
     running = np.zeros(N - 1, dtype=complex)  # integrand summed over the samples walked
     head = None  # the integrand at s = 0
     carry = None
     start = 0
-    for s, _, g, phase, V_s in chunks:
-        C, carry = triangle_convolution(coupling, phase, g, V_s, h, carry)
-        CR = (C.reshape(-1, N) @ rho_en).reshape(C.shape)  # one GEMM per chunk
-        D = CR @ V_s - V_s @ CR
-        zero_mode = s[:, None] if include_zero_mode else 0.0
-        zfac = np.where(nonzero, (phase - 1.0) / i_freqs, zero_mode)
-        integrand = np.einsum(
-            "bij,tji,tij->bt", J_en, D, zfac[:, coupling.labels], optimize=True
-        )
+    for s, g, phase, u in chunks:
+        ubar = u.conj()
+        Y, carry = triangle_convolution(coupling, phase, g, h, carry)
+        Y *= ubar  # R conj(P), then R conj(P) rho
+        Y = np.matmul(rho_en.T, Y)
+        E = np.matmul(V.T, Y * u)  # (Y P) V conj(P)
+        E *= ubar
+        E -= (V @ Y.reshape(N, -1)).reshape(Y.shape)
+        # Y becomes the phase factor of entry [j, i]
+        np.subtract(u[None, :, :], u[:, None, :], out=Y)
+        Y *= inv_iw[:, :, None]
+        if include_zero_mode:
+            Y[zero_entries] = (u * s)[np.nonzero(zero_entries)[0]]
+        E *= Y
+        integrand = J_rows @ E.reshape(N * N, -1)
         if head is None:
             head = integrand[:, 0]
         sums = running[:, None] + np.cumsum(integrand, axis=1)

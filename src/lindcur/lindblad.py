@@ -525,93 +525,136 @@ def steady_state(G: LindbladGenerator) -> np.ndarray:
     return rho
 
 
-def sampled_window(V: SpectralOperator, k: CorrelationKernel, t: float, dt: float):
-    """Grid of n = max(2, ceil(t/dt)) steps h over [0, t], streamed in chunks.
+def _frame_energies(V: SpectralOperator) -> np.ndarray:
+    """Bin-centre level energies eps_i = mean_j w[labels[i, j]], shape (N,).
 
-    Returns (h, chunks).  chunks yields (s, w, g, phase, V_s) for
-    consecutive runs of grid points s_k = h k: w holds the outer trapezoid
-    weights (h, and h/2 at s = 0 and s = t, the ends of the whole window,
-    not of a chunk), g the kernel, phase = exp(i w s) for every bin
-    frequency w, shape (chunk, bins), and V_s the energy-basis coupling at
-    s.  A chunk holds at most CHUNK_BYTES of (chunk, N, N) complex samples,
-    so memory does not grow with the window.  Shared by the finite-window
-    quadratures.
+    eps_i - eps_j is the frequency of entry (i, j)'s bin wherever the bins
+    are additive, to rounding; it is exactly 0 on the diagonal and for a
+    one-bin spectrum.  Each entry's bin centre lies within bin_tolerance of
+    its gap (bohr_frequencies), so where bins are not additive eps_i - eps_j
+    still lies within 3 bin_tolerance of the entry's bin frequency.
+    """
+    return np.mean(V.spectrum.frequencies[V.labels], axis=1)
+
+
+def sampled_window(V: SpectralOperator, k: CorrelationKernel, t, dt: float):
+    """The grid of the longest of the windows t, streamed in chunks with its
+    phases.
+
+    t is one window length or a sorted 1-D array of them.  The grid has
+    n = max(2, ceil(t_max/dt)) steps h = t_max/n over [0, t_max].  Returns
+    (h, ends, chunks): ends[q] = max(1, rint(t_q/h)) is the grid index at
+    which window q ends, and chunks yields (s, g, phase, u) for consecutive
+    runs of grid points s_k = h k, with g the kernel, phase = exp(i w s) for
+    every bin frequency w, shape (bins, chunk), and u = exp(i eps s) for
+    the frame energies eps of _frame_energies, shape (N, chunk).
+
+    u is the rotating frame of the interaction picture: the energy-basis
+    coupling at s is V_s = diag(u) V diag(conj u), entry (i, j) carrying
+    exp(i (eps_i - eps_j) s), which is the phase of the entry's bin to
+    rounding where bins are additive and is off by at most
+    3 bin_tolerance s otherwise.  Products with V_s are then products with
+    the constant V between elementwise phases.
+
+    The phases are stepped: a table exp(i x h k), k < chunk, of every
+    frequency x is built once per call, and a chunk starting at s_0 is that
+    table times exp(i x s_0), one exp per frequency per chunk; a zero
+    frequency's phase is exactly 1.  A chunk holds at most CHUNK_BYTES of
+    (N, N, chunk) complex samples, so memory does not grow with the window.
+    The one sampled pipeline of both finite-window quadratures.
 
     Raises, before any sample is taken, PointwiseUndefined, ValueError (t
-    or dt not positive) or StepTooCoarse (dt above resolution_bound).
+    not a positive number or a sorted 1-D array of them, or dt not
+    positive) or StepTooCoarse (dt above resolution_bound).
     """
     if isinstance(k, WhiteNoise):
         raise PointwiseUndefined("finite-window quadrature needs a pointwise kernel")
-    if t <= 0 or dt <= 0:
-        raise ValueError("the window length and dt must be positive")
+    lengths = np.atleast_1d(np.asarray(t, dtype=float))
+    if (
+        lengths.ndim != 1
+        or len(lengths) == 0
+        or lengths[0] <= 0
+        or np.any(np.diff(lengths) < 0)
+    ):
+        raise ValueError(
+            "the window length must be a positive number or a sorted 1-D array of them"
+        )
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     bound = resolution_bound(k, V.spectrum)
     if dt > bound:
         raise StepTooCoarse(f"dt={dt:.3e} exceeds the resolution bound {bound:.3e}")
-    n = max(2, math.ceil(t / dt))
-    h = t / n
+    n = max(2, math.ceil(lengths[-1] / dt))
+    h = lengths[-1] / n
+    ends = np.maximum(np.rint(lengths / h).astype(int), 1)
     N = V.eig.dimension
-    size = max(1, CHUNK_BYTES // (16 * N * N))
+    size = min(n + 1, max(1, CHUNK_BYTES // (16 * N * N)))
+    rates = np.concatenate([V.spectrum.frequencies, _frame_energies(V)])
+    steps = np.exp(1j * np.multiply.outer(rates, h * np.arange(size)))
+    bins = len(V.spectrum)
 
     def chunks():
         for start in range(0, n + 1, size):
             s = h * np.arange(start, min(start + size, n + 1))
-            w = np.full(len(s), h)
-            if start == 0:
-                w[0] = h / 2.0
-            if start + len(s) == n + 1:
-                w[-1] = h / 2.0
-            phase = np.exp(1j * np.multiply.outer(s, V.spectrum.frequencies))
-            # entry (i, j) of V_s carries the phase of its own bin
-            yield s, w, sample_kernel(k, s), phase, phase[:, V.labels] * V.source
+            phases = steps[:, : len(s)] * np.exp(1j * s[0] * rates)[:, None]
+            yield s, sample_kernel(k, s), phases[:bins], phases[bins:]
 
-    return h, chunks()
+    return h, ends, chunks()
 
 
 def triangle_convolution(
     V: SpectralOperator,
     phase: np.ndarray,
     g: np.ndarray,
-    V_s: np.ndarray,
     h: float,
     carry: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid of C(s) = int_0^s g(s - u) V_u du for one chunk of the grid.
+    """Trapezoid of C(s) = int_0^s g(s - u) V_u du for one chunk, less its
+    outer phase.
 
     Entry (i, j) of V_u is exp(i w u) V_ij, with w the frequency of the
     entry's bin, so on the grid s_k = h k
 
-        C(s_k)_ij = exp(i w s_k) V_ij * h sum'_{p <= k} g(s_p) exp(-i w s_p),
+        C(s_k)_ij = exp(i w s_k) R(s_k)_ij,
+        R(s_k)_ij = V_ij * h sum'_{p <= k} g(s_p) exp(-i w s_p),
 
     where sum' halves the terms p = 0 and p = k: one running trapezoid of
     g(tau) exp(-i w tau) per bin, in O(bins) work per sample and with no
-    convolution.  phase, g and V_s are one chunk of sampled_window; carry
-    is the running sum returned for the previous chunk, or None when this
-    chunk starts the window at s = 0.  Returns the chunk's C, shape
-    (chunk, N, N) in the energy basis, and the carry for the next chunk.
+    convolution.  phase and g are one chunk of sampled_window; carry is the
+    running sum returned for the previous chunk, or None when this chunk
+    starts the window at s = 0.  Returns the chunk's R, shape (N, N, chunk)
+    in the energy basis, and the carry for the next chunk.  The quadratures
+    put the outer phase on in sampled_window's rotating frame,
+    C(s) = diag(u) R(s) diag(conj u).
     """
-    F = g[:, None] * phase.conj()
+    F = phase.conj()
+    F *= g
     if carry is None:
-        carry = np.full(F.shape[1], -0.5 * g[0])
-    running = carry + np.cumsum(F, axis=0)
-    T = h * (running - 0.5 * F)
-    return V_s * T[:, V.labels], running[-1]
+        carry = np.full(len(F), -0.5 * g[0])
+    running = np.cumsum(F, axis=1)
+    running += carry[:, None]
+    carry = running[:, -1].copy()
+    F *= 0.5
+    running -= F
+    running *= h
+    del F  # freed before the gather allocates the chunk's R
+    R = running[V.labels]
+    R *= V.source[:, :, None]
+    return R, carry
 
 
-def _batched_map_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix of X -> sum_s A_s @ X @ B_s on column-stacked X.
+def _map_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Sum over samples and terms of B[l, j] A[i, k], for (N, N, S, 4) stacks.
 
-    That is sum_s B_s^T kron A_s, formed as one matrix product over the
-    sample axis: entry [(l, j), (i, k)] of the product is
-    sum_s B_s[l, j] A_s[i, k], reordered to the row (j, i), column (l, k).
+    One matrix product over the summed axis; entry [(l, j), (i, k)] of the
+    result, reordered to the row (j, i) and the column (l, k), is the
+    matrix of X -> sum A X B on column-stacked X.
     """
-    S, N = A.shape[0], A.shape[-1]
-    prod = B.reshape(S, N * N).T @ A.reshape(S, N * N)
-    return prod.reshape(N, N, N, N).transpose(1, 2, 0, 3).reshape(N * N, N * N)
+    N = A.shape[0]
+    return B.reshape(N * N, -1) @ A.reshape(N * N, -1).T
 
 
-def pre_lindblad_generator(
-    V: SpectralOperator, k: CorrelationKernel, delta: float, dt: float
-) -> SuperOperator:
+def pre_lindblad_generator(V: SpectralOperator, k: CorrelationKernel, delta, dt: float):
     """Finite-window precursor of the dissipator.
 
     Averages the second-order map over a window of length delta:
@@ -623,45 +666,90 @@ def pre_lindblad_generator(
     with V_t the interaction-picture coupling.  The inner integral is the
     per-bin running trapezoid of triangle_convolution, the outer a
     trapezoid over the window; as the window grows this map approaches the
-    secular dissipator like 1/delta.  The window is walked in the chunks
-    of sampled_window, whose four terms per sample are written in place
-    into two (chunk, 4, N, N) buffers, so besides the N^2 x N^2 result only
-    O(chunk N^2) memory is held, whatever delta is.
+    secular dissipator like 1/delta.
+
+    The map is accumulated in the energy basis, in sampled_window's
+    rotating frame: with Phi_ij = u_i conj(u_j) (exactly 1 where
+    eps_i = eps_j) every factor of the four terms is Phi times C, V, V C or
+    C V, so the only products are with the constant V.  The terms of each
+    sample are written in place into two (N, N, chunk, 4) buffers, side by
+    side on the summed axis, so their nearly cancelling products are added
+    next to each other; the result is rotated to the site basis once, with
+    kron(conj U, U).  Besides the result only O(chunk N^2) memory is held,
+    whatever delta is.
+
+    delta is one window length or a sorted 1-D array of them.  The
+    integrand does not depend on the window length, so the longest window
+    is walked once and each window is read off the running sum at the grid
+    point nearest its length, divided by the length it integrates.  For a
+    scalar delta returns one SuperOperator; for an array returns (lengths,
+    maps): the window lengths used, shape (T,), and the site-basis
+    matrices, shape (T, N^2, N^2).  The input checks of sampled_window
+    apply.
     """
-    h, chunks = sampled_window(V, k, delta, dt)
-    U = V.eig.basis
-    Uh = U.conj().T
+    h, ends, chunks = sampled_window(V, k, delta, dt)
     N = V.eig.dimension
-    ident = np.eye(N, dtype=complex)
-    M = np.zeros((N * N, N * N), dtype=complex)
-    A = B = None
+    src = V.source
+    eps = _frame_energies(V)
+    same = eps[:, None] == eps[None, :]
+    ident = np.eye(N, dtype=complex)[:, :, None]
+    M = np.zeros((N * N, N * N), dtype=complex)  # rows (l, j), columns (i, k)
+    snapshots = np.empty((len(ends), N * N, N * N), dtype=complex)
+    A = B = work = None
     carry = carry_bar = None
-    for s, w, g, phase, V_en in chunks:
+    start = 0
+    for s, g, phase, u in chunks:
         S = len(s)
         if A is None:
-            # per sample, in the site basis, A holds (wC, -V_t wC, V_t, -1)
-            # and B (V_t, 1, wCbar, wCbar V_t): the four terms sit side by
-            # side on the summed axis, so their nearly cancelling products
-            # are added next to each other, not as four separately rounded
-            # sums
-            A = np.empty((S, 4, N, N), dtype=complex)
-            B = np.empty((S, 4, N, N), dtype=complex)
-            A[:, 3] = -ident
-            B[:, 1] = ident
-        a, b = A[:S], B[:S]
-        w = (w / delta)[:, None, None]
-        np.matmul(U @ V_en, Uh, out=a[:, 2])
-        b[:, 0] = a[:, 2]
-        C, carry = triangle_convolution(V, phase, g, V_en, h, carry)
-        np.matmul(U @ (w * C), Uh, out=a[:, 0])
-        del C
-        Cbar, carry_bar = triangle_convolution(V, phase, np.conj(g), V_en, h, carry_bar)
-        np.matmul(U @ (w * Cbar), Uh, out=b[:, 2])
-        del Cbar
-        np.matmul(a[:, 2], a[:, 0], out=a[:, 1])
-        np.negative(a[:, 1], out=a[:, 1])
-        np.matmul(b[:, 2], b[:, 0], out=b[:, 3])
-        M += _batched_map_sum(a.reshape(-1, N, N), b.reshape(-1, N, N))
+            A = np.empty(N * N * S * 4, dtype=complex)
+            B = np.empty_like(A)
+            work = np.empty(N * N * S, dtype=complex)
+        # per sample, A holds (wC, -V_s wC, V_s, -1) and B (V_s, 1, wCbar,
+        # wCbar V_s), each Phi times a product with the constant V
+        a = A[: N * N * S * 4].reshape(N, N, S, 4)
+        b = B[: N * N * S * 4].reshape(N, N, S, 4)
+        tmp = work[: N * N * S].reshape(N, N, S)
+        w = np.full(S, h)
+        if start == 0:
+            w[0] = h / 2.0
+        phi = u[:, None, :] * u.conj()[None, :, :]
+        phi[same] = 1.0
+        R, carry = triangle_convolution(V, phase, g, h, carry)
+        R *= w
+        np.multiply(phi, R, out=a[..., 0])
+        np.matmul(src, R.reshape(N, -1), out=tmp.reshape(N, -1))
+        del R
+        np.multiply(phi, tmp, out=a[..., 1])
+        np.negative(a[..., 1], out=a[..., 1])
+        np.multiply(phi, src[:, :, None], out=a[..., 2])
+        a[..., 3] = -ident
+        b[..., 0] = a[..., 2]
+        b[..., 1] = ident
+        R, carry_bar = triangle_convolution(V, phase, np.conj(g), h, carry_bar)
+        R *= w
+        np.multiply(phi, R, out=b[..., 2])
+        np.matmul(src.T, R, out=tmp)
+        del R
+        np.multiply(phi, tmp, out=b[..., 3])
+        lo = 0
+        for end in np.unique(ends[(ends >= start) & (ends < start + S)]):
+            # the window ending at this sample takes it with half its weight
+            here = end - start
+            M += _map_sum(a[:, :, lo:here], b[:, :, lo:here])
+            last = _map_sum(a[:, :, here : here + 1], b[:, :, here : here + 1])
+            snapshots[ends == end] = M + 0.5 * last
+            M += last
+            lo = here + 1
+        M += _map_sum(a[:, :, lo:], b[:, :, lo:])
+        start += S
         # nothing of this chunk may outlive it while the next one is drawn
-        del s, w, g, phase, V_en, a, b
-    return SuperOperator(N, M)
+        del s, g, phase, u, phi, a, b, tmp
+    lengths = h * ends
+    K = np.kron(V.eig.basis.conj(), V.eig.basis)
+    maps = np.empty_like(snapshots)
+    for q, raw in enumerate(snapshots):
+        raw = raw.reshape(N, N, N, N).transpose(1, 2, 0, 3).reshape(N * N, N * N)
+        maps[q] = K @ (raw / lengths[q]) @ K.conj().T
+    if np.ndim(delta) == 0:
+        return SuperOperator(N, maps[0])
+    return lengths, maps

@@ -142,8 +142,8 @@ def interaction_picture_batch(sop, taus):
     """sum_w exp(i w tau) A_w in the energy basis for each tau; (T, N, N).
 
     Each entry carries the phase of its own bin, so this is one elementwise
-    product per time.  The reference for the V_s that sampled_window
-    gathers from its per-bin phases.
+    product per time.  The reference for diag(u) V diag(conj u), the
+    coupling in the rotating frame of sampled_window.
     """
     gaps = sop.spectrum.frequencies[sop.labels]
     return np.exp(1j * np.multiply.outer(taus, gaps)) * sop.source

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lindcur import cli
+from lindcur import cli, current, lindblad
 from lindcur.cli import main
 from lindcur.config import parse_config
 from lindcur.current import ContinuityReport
@@ -237,6 +237,38 @@ def test_oracle_checks_pass_on_uniform_chains(tmp_path_factory, coupling):
         "oracle_error_decreasing",
     ]
     assert all(c.passed for c in checks), checks
+
+
+def test_verify_walks_each_finite_window_ladder_once(tmp_path, monkeypatch):
+    """The oracle and pre-Lindblad checks each read their whole ladder off
+    one sampled pass over its longest window."""
+    draws = []
+    sampled_window = lindblad.sampled_window
+
+    def spy(V, k, t, dt):
+        h, ends, chunks = sampled_window(V, k, t, dt)
+        draws.append([np.max(t), 0])
+
+        def counted():
+            for chunk in chunks:
+                draws[-1][1] += len(chunk[0])
+                yield chunk
+
+        return h, ends, counted()
+
+    monkeypatch.setattr(lindblad, "sampled_window", spy)
+    monkeypatch.setattr(current, "sampled_window", spy)
+    wb = cli.build_workbench(
+        parse_config(_config(tmp_path, _uniform_chain([0.3, -0.8, 0.5, 0.9])))
+    )
+    cli._oracle_checks(wb)
+    assert len(draws) == 1
+    cli._prelindblad_checks(wb)
+    assert len(draws) == 2
+    longest, samples = draws[1]
+    n_longest = math.ceil(longest / cli._oracle_quadrature_dt(wb))
+    assert longest == max(cli.PRELINDBLAD_LADDER) / wb.kernel.kappa
+    assert samples == n_longest + 1
 
 
 def test_verify_all_trivial_for_decoupled_bath(tmp_path, capsys):
