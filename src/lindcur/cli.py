@@ -1,14 +1,15 @@
 """Command-line front end: simulate, steady, verify.
 
-Exit codes: 0 success (all checks pass), 1 failure or failed check,
-2 positivity loss, 3 verify-suite incompatible with the configured bath.
-All output files are byte-deterministic for a given config: fixed float
-formatting at the configured precision, rows ordered time-major then by
-site/bond index.
+Exit codes: 0 success (all checks pass), 1 failure, failed check or an
+output that cannot be written, 2 positivity loss, 3 verify-suite
+incompatible with the configured bath.  All output files are
+byte-deterministic for a given config: fixed float formatting at the
+configured precision, rows ordered time-major then by site/bond index.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import logging
@@ -20,8 +21,9 @@ import numpy as np
 
 from .config import Config, make_kernel, parse_config, resolve_initial_state
 from .current import (
+    ContinuityReport,
     build_engine,
-    continuity_report,
+    continuity_columns,
     divergence_identity_check,
     jd_cumulative_1d,
     jd_expectation,
@@ -32,7 +34,6 @@ from .errors import LindcurError, PositivityLost, PositivityViolation
 from .lattice import ChainSpec, build_chain
 from .linalg import hermitian_eigensystem
 from .lindblad import (
-    Trajectory,
     build_generator,
     evolve,
     pre_lindblad_generator,
@@ -49,6 +50,10 @@ ABSOLUTE_FLOOR = 1e-12
 CSV_BLOCK = 4096  # rows formatted per write
 POW10_MIN, POW10_MAX = -300, 308  # decimal powers the formatter scales by
 EXP_MAX = 300  # largest |exponent| in the formatter's table
+TABLES = (
+    ("density.csv", "time,site,n,dn_dt,lstar_n,residual_raw,residual_corrected\n"),
+    ("currents.csv", "time,bond,j_ham,j_diss,j_total\n"),
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -197,8 +202,9 @@ def _float_slots(x, prec) -> np.ndarray:
     return slots
 
 
-def _write_table(path, header, prec, times, columns) -> None:
-    """One CSV: a row per (time, index) with the (T, n) columns' values.
+def _write_rows(fh, prec, times, columns) -> None:
+    """The rows of the (T, n) columns' values, one per (time, index), to
+    the binary file fh.
 
     A block of rows is one uint8 array in which every field has a
     fixed-width slot padded with zero bytes: the time (formatted once per
@@ -216,33 +222,36 @@ def _write_table(path, header, prec, times, columns) -> None:
         (f"{i},".ljust(index_width, "\0") for i in range(n)), np.uint8
     ).reshape(n, index_width)
     states = max(1, CSV_BLOCK // n)
+    for start in range(0, len(times), states):
+        block = slice(start, start + states)
+        t = len(times[block])
+        rows = np.empty((t, n, width * (1 + len(columns)) + index_width), np.uint8)
+        rows[:, :, : width - 1] = _float_slots(times[block], prec)[:, None]
+        rows[:, :, width - 1] = ord(",")
+        rows[:, :, width : width + index_width] = index
+        for k, column in enumerate(columns):
+            at = width + index_width + k * width
+            rows[:, :, at : at + width - 1] = _float_slots(
+                column[block].ravel(), prec
+            ).reshape(t, n, -1)
+            rows[:, :, at + width - 1] = ord(",")
+        rows[:, :, -1] = ord("\n")
+        fh.write(rows[rows != 0])
+
+
+def _write_table(path, header, prec, times, columns) -> None:
+    """One whole CSV: the header, then _write_rows of the columns."""
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        for start in range(0, len(times), states):
-            block = slice(start, start + states)
-            t = len(times[block])
-            rows = np.empty((t, n, width * (1 + len(columns)) + index_width), np.uint8)
-            rows[:, :, : width - 1] = _float_slots(times[block], prec)[:, None]
-            rows[:, :, width - 1] = ord(",")
-            rows[:, :, width : width + index_width] = index
-            for k, column in enumerate(columns):
-                at = width + index_width + k * width
-                rows[:, :, at : at + width - 1] = _float_slots(
-                    column[block].ravel(), prec
-                ).reshape(t, n, -1)
-                rows[:, :, at + width - 1] = ord(",")
-            rows[:, :, -1] = ord("\n")
-            fh.write(rows[rows != 0])
+        _write_rows(fh, prec, times, columns)
 
 
-def _write_csvs(wb: Workbench, traj: Trajectory, out_dir: str) -> None:
-    prec = wb.cfg.output.precision
-    report = continuity_report(wb.generator, wb.ops, wb.engine, traj)
-    j_ham, j_diss = report.bond_j_ham, report.bond_j_diss
-    os.makedirs(out_dir, exist_ok=True)
-    _write_table(
-        os.path.join(out_dir, "density.csv"),
-        "time,site,n,dn_dt,lstar_n,residual_raw,residual_corrected\n",
+def _write_csvs(files, prec, report: ContinuityReport) -> None:
+    """The rows of one block's report, appended to the open density and
+    currents tables."""
+    density, currents = files
+    _write_rows(
+        density,
         prec,
         report.times,
         [
@@ -253,48 +262,125 @@ def _write_csvs(wb: Workbench, traj: Trajectory, out_dir: str) -> None:
             report.residual_corrected,
         ],
     )
-    _write_table(
-        os.path.join(out_dir, "currents.csv"),
-        "time,bond,j_ham,j_diss,j_total\n",
-        prec,
-        report.times,
-        [j_ham, j_diss, j_ham + j_diss],
-    )
+    j_ham, j_diss = report.bond_j_ham, report.bond_j_diss
+    _write_rows(currents, prec, report.times, [j_ham, j_diss, j_ham + j_diss])
+
+
+@contextlib.contextmanager
+def _open_tables(out_dir: str, prec: int):
+    """Open the run's tables in out_dir, creating it, and yield
+    write(report), which appends the rows of one block's report to them.
+
+    Each table is written under its name plus '.tmp' and renamed into
+    place with os.replace once the block has ended; on any error the
+    temporaries are removed, so a failed run leaves no truncated table and
+    the tables of an earlier run as they were.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    paths = [os.path.join(out_dir, name) for name, _ in TABLES]
+    files = []
+    try:
+        for path, (_, header) in zip(paths, TABLES):
+            fh = open(path + ".tmp", "wb")
+            files.append(fh)
+            fh.write(header.encode("ascii"))
+        yield lambda report: _write_csvs(files, prec, report)
+        for fh in files:
+            fh.close()
+        for path in paths:
+            os.replace(path + ".tmp", path)
+    except BaseException:
+        for fh, path in zip(files, paths):
+            fh.close()
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path + ".tmp")
+        raise
+
+
+class _Blocks:
+    """A consumer for evolve that passes its chunks of states on to
+    sink(times, states) in blocks of a fixed number of states.
+
+    The chunks are copied into one buffer of a block, sink gets views of
+    it each time it fills, and close() passes on the rest.
+    """
+
+    def __init__(self, sink, size: int, n: int):
+        self.sink = sink
+        self.times = np.empty(size)
+        self.states = np.empty((size, n, n), dtype=complex)
+        self.filled = 0
+
+    def __call__(self, times, states) -> None:
+        while len(times):
+            take = min(len(times), len(self.times) - self.filled)
+            part = slice(self.filled, self.filled + take)
+            self.times[part] = times[:take]
+            self.states[part] = states[:take]
+            self.filled += take
+            times, states = times[take:], states[take:]
+            if self.filled == len(self.times):
+                self.close()
+
+    def close(self) -> None:
+        if self.filled:
+            self.sink(self.times[: self.filled], self.states[: self.filled])
+            self.filled = 0
 
 
 def run_simulate(cfg: Config) -> int:
-    """Integrate the configured model and emit density and current tables."""
+    """Integrate the configured model and emit density and current tables.
+
+    The states are reported and written a block of CSV_BLOCK // N of them
+    at a time and then dropped, so memory does not depend on the horizon.
+    """
     wb = build_workbench(cfg)
     rho0 = resolve_initial_state(cfg, wb.eig)
-    traj = evolve(wb.generator, rho0, cfg.run.t_final, cfg.run.dt)
-    _write_csvs(wb, traj, cfg.output.directory)
+    N = cfg.model.n_sites
+    with _open_tables(cfg.output.directory, cfg.output.precision) as write:
+        columns = continuity_columns(wb.generator, wb.ops, wb.engine)
+        blocks = _Blocks(
+            lambda times, states: write(columns(times, states)),
+            max(1, CSV_BLOCK // N),
+            N,
+        )
+        evolve(wb.generator, rho0, cfg.run.t_final, cfg.run.dt, blocks)
+        blocks.close()
     return 0
 
 
 def run_steady(cfg: Config) -> int:
     """Emit the simulate tables for the unique stationary state, at time 0."""
     wb = build_workbench(cfg)
-    rho = steady_state(wb.generator)
-    traj = Trajectory(
-        times=np.array([0.0]),
-        states=[rho],
-        herm_defects=np.array([0.0]),
-        trace_defects=np.array([0.0]),
-    )
-    _write_csvs(wb, traj, cfg.output.directory)
+    with _open_tables(cfg.output.directory, cfg.output.precision) as write:
+        rho = steady_state(wb.generator)
+        columns = continuity_columns(wb.generator, wb.ops, wb.engine)
+        write(columns(np.zeros(1), rho[None]))
     return 0
 
 
 def _continuity_checks(wb: Workbench) -> list:
     cfg = wb.cfg
     rho0 = resolve_initial_state(cfg, wb.eig)
-    traj = evolve(wb.generator, rho0, cfg.run.t_final, cfg.run.dt)
-    report = continuity_report(wb.generator, wb.ops, wb.engine, traj)
-    raw_vs_source = float(
-        np.max(np.abs(report.residual_raw - report.site_lstar_density))
-    )
-    raw_scale = float(np.max(np.abs(report.residual_raw)))
-    corrected = float(np.max(np.abs(report.residual_corrected)))
+    columns = continuity_columns(wb.generator, wb.ops, wb.engine)
+    # running maxima of |residual_raw - lstar_n|, |residual_raw| and
+    # |residual_corrected| over evolve's chunks of states
+    peaks = np.zeros(3)
+
+    def track(times, states):
+        r = columns(times, states)
+        np.maximum(
+            peaks,
+            [
+                np.max(np.abs(r.residual_raw - r.site_lstar_density)),
+                np.max(np.abs(r.residual_raw)),
+                np.max(np.abs(r.residual_corrected)),
+            ],
+            out=peaks,
+        )
+
+    evolve(wb.generator, rho0, cfg.run.t_final, cfg.run.dt, track)
+    raw_vs_source, raw_scale, corrected = map(float, peaks)
     sources = lstar_density(wb.generator, wb.ops)
     dev = divergence_identity_check(wb.engine, wb.generator, wb.ops)
     scale = max(max(float(np.linalg.norm(L)) for L in sources), 1.0)
@@ -456,7 +542,7 @@ def main(argv=None) -> int:
     except (PositivityViolation, PositivityLost) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except LindcurError as exc:
+    except (LindcurError, OSError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

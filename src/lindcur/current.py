@@ -23,7 +23,7 @@ against each other:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -46,8 +46,8 @@ ORACLE_HORIZON = 20.0
 
 @dataclass(frozen=True)
 class ContinuityReport:
-    """Densities, currents, sources and continuity residuals along a
-    trajectory, one row per stored state.
+    """Densities, currents, sources and continuity residuals of a
+    trajectory or a block of its states, one row per state.
 
     times is (T,); site_density, dn_dt, site_lstar_density, residual_raw and
     residual_corrected are (T, N); bond_j_ham and bond_j_diss are (T, N - 1).
@@ -425,6 +425,51 @@ def divergence_identity_check(
     )
 
 
+def continuity_columns(
+    G: LindbladGenerator, ops: LatticeOperators, engine: JDEngine
+):
+    """The continuity report of any stack of states, as a function.
+
+    The fixed observables are built once: the N - 1 bond currents, the N
+    source matrices of lstar_density and the N - 1 correction-current
+    observables of jd_observables, stacked as the (N^2, 3N - 2) columns of
+    X, each observable transposed, so that a state flattened to a row of
+    N^2 entries times X holds all of its traces tr(rho O_b).  The returned
+    columns(times, states) maps (k,) times and a (k, N, N) stack of states
+    to their ContinuityReport.  Each state's traces are a (1, N^2) @
+    (N^2, 3N - 2) product of its own, and apply_full acts on each state
+    alone, so a state's row does not depend on the stack it comes in.
+    The density time-derivative is evaluated through the generator, not by
+    finite differences, so the residuals measure operator identities
+    rather than integrator error.
+    """
+    N = ops.n_sites
+    observables = np.concatenate(
+        [np.array(ops.j_ops), np.array(lstar_density(G, ops)), jd_observables(engine)]
+    )
+    X = observables.transpose(0, 2, 1).reshape(len(observables), N * N).T
+
+    def columns(times, states) -> ContinuityReport:
+        states = np.asarray(states, dtype=complex)
+        k = len(states)
+        traces = np.matmul(states.reshape(k, 1, N * N), X).reshape(k, -1).real
+        j_ham, lstar, j_diss = np.split(traces, [N - 1, 2 * N - 1], axis=1)
+        dn_dt = G.apply_full(states).diagonal(axis1=1, axis2=2).real
+        return ContinuityReport(
+            times=np.asarray(times, dtype=float),
+            site_density=np.diagonal(states, axis1=1, axis2=2).real,
+            dn_dt=dn_dt,
+            site_lstar_density=lstar,
+            bond_j_ham=j_ham,
+            bond_j_diss=j_diss,
+            residual_raw=dn_dt + np.array(discrete_divergence(j_ham.T)).T,
+            residual_corrected=dn_dt
+            + np.array(discrete_divergence((j_ham + j_diss).T)).T,
+        )
+
+    return columns
+
+
 def continuity_report(
     G: LindbladGenerator,
     ops: LatticeOperators,
@@ -433,37 +478,25 @@ def continuity_report(
 ) -> ContinuityReport:
     """Densities, currents, and continuity residuals along a trajectory.
 
-    The density time-derivative is evaluated through the generator, not by
-    finite differences, so the residuals measure operator identities rather
-    than integrator error.  residual_raw should reproduce the source
-    expectations exactly; residual_corrected should vanish.  dn/dt is taken
-    in chunks of CHUNK_BYTES of states; row t of every column belongs to
-    traj.times[t].  Each column is a C-contiguous float array of its own,
-    so the report pins neither the states nor the complex products.
+    residual_raw should reproduce the source expectations exactly;
+    residual_corrected should vanish.  The columns of continuity_columns
+    are taken in pieces of CHUNK_BYTES of states, so no stack of the whole
+    trajectory is formed; row t of every column belongs to traj.times[t].
+    Each column is a C-contiguous float array of its own, so the report
+    pins neither the states nor the complex products.
     """
     if len(traj.states) == 0:
         raise ValueError("trajectory is empty")
-    states = np.asarray(traj.states, dtype=complex)
+    columns = continuity_columns(G, ops, engine)
+    times = np.asarray(traj.times, dtype=float)
     size = max(1, CHUNK_BYTES // (16 * G.dimension**2))
-    drho = (G.apply_full(states[t : t + size]) for t in range(0, len(states), size))
-    dn_dt = np.concatenate([d.diagonal(axis1=1, axis2=2).real for d in drho])
-    densities = np.ascontiguousarray(np.diagonal(states, axis1=1, axis2=2).real)
-
-    def traces(stack):
-        return np.ascontiguousarray(np.einsum("tij,bji->tb", states, stack).real)
-
-    j_ham = traces(np.array(ops.j_ops))
-    lstar = traces(np.array(lstar_density(G, ops)))
-    j_diss = traces(jd_observables(engine))
-    raw = dn_dt + np.array(discrete_divergence(j_ham.T)).T
-    corrected = dn_dt + np.array(discrete_divergence((j_ham + j_diss).T)).T
+    parts = [
+        columns(times[t : t + size], traj.states[t : t + size])
+        for t in range(0, len(traj.states), size)
+    ]
     return ContinuityReport(
-        times=np.array(traj.times, dtype=float),
-        site_density=densities,
-        dn_dt=dn_dt,
-        site_lstar_density=lstar,
-        bond_j_ham=j_ham,
-        bond_j_diss=j_diss,
-        residual_raw=raw,
-        residual_corrected=corrected,
+        **{
+            f.name: np.concatenate([getattr(p, f.name) for p in parts])
+            for f in fields(ContinuityReport)
+        }
     )

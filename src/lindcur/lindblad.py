@@ -359,7 +359,11 @@ def _guard_positivity(chunk: np.ndarray, first: int, h: float) -> None:
 
 
 def evolve(
-    G: LindbladGenerator, rho0: np.ndarray, t_final: float, dt: float
+    G: LindbladGenerator,
+    rho0: np.ndarray,
+    t_final: float,
+    dt: float,
+    consumer=None,
 ) -> Trajectory:
     """Exact fixed-step propagation of the master equation.
 
@@ -387,6 +391,13 @@ def evolve(
     memory is O(c sum of m^2): the power tables, at most CHUNK_BYTES, and
     a few (c, N, N) stacks.
 
+    With consumer set, nothing is stored: consumer(times, states) is
+    called with each chunk in turn, first the (1, N, N) initial state,
+    then every (k, N, N) stack of certified site-basis states with its (k,)
+    times, and the trajectory comes back with its times and correction
+    logs and an empty states list.  The chunks concatenated are the states
+    evolve stores without it, bit for bit.
+
     Raises ValueError for dt <= 0 or t_final < 0 (before any matrix is
     built) and PositivityLost for the first state with an eigenvalue below
     POSITIVITY_FLOOR.
@@ -396,15 +407,21 @@ def evolve(
         raise ValueError("dt must be positive")
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
-    if t_final == 0:
+    states = []
+    if consumer is None:
+        def consumer(_, chunk):
+            states.extend(chunk)
+    n_steps = max(1, math.ceil(t_final / dt - 1e-12)) if t_final > 0 else 0
+    h = t_final / max(n_steps, 1)
+    times = h * np.arange(n_steps + 1)
+    consumer(times[:1], rho0.copy()[None])
+    if n_steps == 0:
         return Trajectory(
-            times=np.array([0.0]),
-            states=[rho0.copy()],
+            times=times,
+            states=states,
             herm_defects=np.array([0.0]),
             trace_defects=np.array([0.0]),
         )
-    n_steps = max(1, math.ceil(t_final / dt - 1e-12))
-    h = t_final / n_steps
     N = G.dimension
     order = G.block_order
     where = np.empty_like(order)
@@ -423,7 +440,6 @@ def evolve(
         tables.append((part, table))
     x = G.eig.to_energy_basis(rho0).ravel()[order]
     U = G.eig.basis
-    states = [rho0.copy()]
     herm_defects = [np.zeros(1)]
     trace_defects = [np.zeros(1)]
     for first in range(1, n_steps + 1, c):
@@ -452,10 +468,11 @@ def evolve(
         energy = energy.reshape(size, N, N)
         _guard_positivity(energy, first, h)
         site = U @ energy @ U.conj().T
-        states.extend((site + site.conj().transpose(0, 2, 1)) / 2.0)
+        consumer(
+            times[first : first + size], (site + site.conj().transpose(0, 2, 1)) / 2.0
+        )
     herm_defects = np.concatenate(herm_defects)
     trace_defects = np.concatenate(trace_defects)
-    times = h * np.arange(n_steps + 1)
     logger.debug(
         "evolve: %d steps, max herm defect %.3e, max trace defect %.3e",
         n_steps,

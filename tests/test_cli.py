@@ -17,6 +17,7 @@ from lindcur import cli, current, lindblad
 from lindcur.cli import main
 from lindcur.config import parse_config
 from lindcur.current import ContinuityReport
+from lindcur.errors import PositivityLost
 from lindcur.lindblad import LindbladGenerator
 
 CHECK_LINE = re.compile(
@@ -445,18 +446,20 @@ def _crafted_report(n_states, n_sites):
     )
 
 
+def _report_rows(report, part):
+    """The report of the states in the slice part."""
+    return ContinuityReport(
+        **{f.name: getattr(report, f.name)[part] for f in dataclasses.fields(report)}
+    )
+
+
 @pytest.mark.parametrize("precision", [1, 2, 12, 13, 14, 17])
-def test_columnar_csvs_match_per_value_writer(tmp_path, monkeypatch, precision):
-    cfg = parse_config(
-        _config(tmp_path, {"model": {"n_sites": 3}, "run": {"t_final": 0.1, "dt": 0.005}})
-    )
-    cfg = dataclasses.replace(
-        cfg, output=dataclasses.replace(cfg.output, precision=precision)
-    )
-    wb = cli.build_workbench(cfg)
+def test_columnar_csvs_match_per_value_writer(tmp_path, precision):
+    """The block writer, given the crafted report in two uneven blocks."""
     report = _crafted_report(2 * cli.CSV_BLOCK + 3, 3)
-    monkeypatch.setattr(cli, "continuity_report", lambda *args: report)
-    cli._write_csvs(wb, None, str(tmp_path / "columnar"))
+    with cli._open_tables(str(tmp_path / "columnar"), precision) as write:
+        write(_report_rows(report, slice(None, cli.CSV_BLOCK + 5)))
+        write(_report_rows(report, slice(cli.CSV_BLOCK + 5, None)))
     _per_value_writer(report, 3, precision, str(tmp_path / "per_value"))
     for name in ("density.csv", "currents.csv"):
         got = (tmp_path / "columnar" / name).read_bytes()
@@ -567,3 +570,85 @@ def test_write_table_memory_is_bounded_by_rows(tmp_path):
     bound = 1.1 * min(short, long)
     assert max(short, long) <= bound, (short, long)
     assert _write_table_peak(tmp_path / "wide.csv", 201, 64) <= bound
+
+
+def _simulate_config(tmp_path, n_sites, t_final, name="config.json"):
+    coupling = np.random.default_rng(n_sites).uniform(-1.0, 1.0, n_sites)
+    payload = {
+        "model": {"n_sites": n_sites, "coupling": coupling.tolist()},
+        "bath": {"type": "exponential", "gamma": 0.1, "kappa": 5.0},
+        "run": {"t_final": t_final, "dt": 0.01, "initial_state": "site:0"},
+    }
+    return _config(tmp_path, payload, name)
+
+
+def _simulate_peak(path):
+    cfg = parse_config(path)
+    tracemalloc.start()
+    try:
+        assert cli.run_simulate(cfg) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_depend_on_the_horizon(tmp_path):
+    """A block of states is reported, written and dropped before the next
+    one is propagated, so ten thousand steps peak where two thousand do."""
+    _simulate_peak(_simulate_config(tmp_path, 4, 0.1, "warm.json"))
+    short = _simulate_peak(_simulate_config(tmp_path, 4, 20.0, "short.json"))
+    long = _simulate_peak(_simulate_config(tmp_path, 4, 100.0, "long.json"))
+    assert max(short, long) <= 1.1 * min(short, long), (short, long)
+
+
+def test_simulate_csvs_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    cfg = _simulate_config(tmp_path, 7, 12.0)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    monkeypatch.setattr(cli, "CSV_BLOCK", 1)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    for name in ("density.csv", "currents.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "steady"])
+def test_unwritable_output_fails_before_any_work(tmp_path, capsys, monkeypatch, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    cfg = _config(tmp_path, _reference_payload())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("propagated before the output was opened")
+
+    monkeypatch.setattr(cli, "evolve", refuse)
+    monkeypatch.setattr(cli, "steady_state", refuse)
+    out = str(blocker / "out")
+    assert main([command, "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR NotADirectoryError: "), err
+
+
+def test_failed_run_leaves_earlier_tables_unchanged(tmp_path, monkeypatch):
+    """Rows already written when positivity is lost stay in temporaries,
+    which are removed; the tables of the earlier run are kept."""
+    payload = _reference_payload()
+    payload["run"]["t_final"] = 3.0
+    cfg = _config(tmp_path, payload)
+    assert main(["simulate", "--config", cfg]) == 0
+    out = tmp_path / "out"
+    before = {name: (out / name).read_bytes() for name in ("density.csv", "currents.csv")}
+    guard = lindblad._guard_positivity
+    calls = []
+
+    def fail_third(chunk, first, h):
+        calls.append(first)
+        if len(calls) == 3:
+            raise PositivityLost(f"injected at t={h * first:.6g}")
+        guard(chunk, first, h)
+
+    monkeypatch.setattr(lindblad, "_guard_positivity", fail_third)
+    monkeypatch.setattr(cli, "CSV_BLOCK", 16 * 4)  # rows are written before the error
+    assert main(["simulate", "--config", cfg]) == 2
+    assert len(calls) == 3
+    assert sorted(os.listdir(out)) == sorted(before)
+    for name, data in before.items():
+        assert (out / name).read_bytes() == data

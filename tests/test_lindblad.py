@@ -446,6 +446,27 @@ def test_evolve_zero_time_returns_initial_state(ref4):
     np.testing.assert_array_equal(traj.states[0], rho0)
 
 
+@pytest.mark.parametrize("t_final", [0.0, 1.5])
+def test_evolve_consumer_gets_the_stored_states(ref4, t_final):
+    """The consumer's chunks, concatenated, are the states evolve stores
+    without it, bit for bit; 150 steps end in a partial chunk of 64."""
+    rho0 = _site_state(4)
+    stored = evolve(ref4.generator, rho0, t_final, 0.01)
+    chunks = []
+    streamed = evolve(
+        ref4.generator, rho0, t_final, 0.01, lambda t, s: chunks.append((t, s))
+    )
+    assert streamed.states == []
+    for field in ("times", "herm_defects", "trace_defects"):
+        np.testing.assert_array_equal(getattr(streamed, field), getattr(stored, field))
+    assert [len(t) for t, _ in chunks] == [len(s) for _, s in chunks]
+    np.testing.assert_array_equal(np.concatenate([t for t, _ in chunks]), stored.times)
+    np.testing.assert_array_equal(
+        np.concatenate([s for _, s in chunks]), np.array(stored.states)
+    )
+    assert len(chunks[0][1]) == 1
+
+
 def test_evolve_commuting_state_is_constant():
     bundle = make_bundle(3, np.zeros(3))
     traj = evolve(bundle.generator, np.eye(3, dtype=complex) / 3.0, 1.0, 0.01)
