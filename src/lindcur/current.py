@@ -340,10 +340,15 @@ def jd_finite_time_oracle(
     does not depend on the window length, so the grid of the longest
     window is walked once and the outer trapezoid is kept as a running
     sum; the value of each requested length is read off at the grid point
-    nearest to it.  Memory is O(chunk N^2 + bins + len(t) (N - 1))
-    whatever the lengths are.  For a scalar t returns the (N-1,) values
-    of that window; for an array returns (times, values): the grid times
-    used, shape (T,), and one row of values per time, shape (T, N-1).
+    nearest to it.  A chunk holds 3 (N, N) stacks per sample, R, Y and E,
+    allocated once per call at the first chunk's size and filled in place
+    (the per-bin sums of triangle_convolution, the phase factor, the
+    integrand and its running sums reuse them); with sampled_window's
+    phases that fits CHUNK_BYTES (window_chunk).  Besides it memory is
+    O(bins + len(t) (N - 1)) whatever the lengths are.  For a scalar t
+    returns the (N-1,) values of that window; for an array returns
+    (times, values): the grid times used, shape (T,), and one row of
+    values per time, shape (T, N-1).
     The input checks of sampled_window apply; every t must reach the
     averaging horizon.
     """
@@ -352,7 +357,7 @@ def jd_finite_time_oracle(
     if rho.shape != (N, N):
         raise DimensionMismatch(f"state shape {rho.shape} vs dimension {N}")
     coupling = decompose(ops.v, eig, spectrum)
-    h, ends, chunks = sampled_window(coupling, kernel, t, dt)
+    h, ends, chunks = sampled_window(coupling, kernel, t, dt, 3)
     freqs = spectrum.frequencies
     nonzero = np.abs(freqs) > spectrum.bin_tolerance
     if np.any(nonzero):
@@ -378,28 +383,39 @@ def jd_finite_time_oracle(
     carry = None
     start = 0
     for s, g, phase, u in chunks:
+        S = len(s)
+        if head is None:  # the first chunk is the longest
+            R_buf, Y_buf, E_buf = (np.empty(N * N * S, dtype=complex) for _ in range(3))
+        Y = Y_buf[: N * N * S].reshape(N, N, S)
+        E = E_buf[: N * N * S].reshape(N, N, S)
         ubar = u.conj()
-        Y, carry = triangle_convolution(coupling, phase, g, h, carry)
-        Y *= ubar  # R conj(P), then R conj(P) rho
-        Y = np.matmul(rho_en.T, Y)
-        E = np.matmul(V.T, Y * u)  # (Y P) V conj(P)
+        R, carry = triangle_convolution(coupling, phase, g, h, carry, R_buf, E_buf)
+        R *= ubar  # R conj(P), then Y = R conj(P) rho
+        np.matmul(rho_en.T, R, out=Y)
+        np.multiply(Y, u, out=R)
+        np.matmul(V.T, R, out=E)  # (Y P) V conj(P)
         E *= ubar
-        E -= (V @ Y.reshape(N, -1)).reshape(Y.shape)
+        np.matmul(V, Y.reshape(N, -1), out=R.reshape(N, -1))
+        E -= R
         # Y becomes the phase factor of entry [j, i]
         np.subtract(u[None, :, :], u[:, None, :], out=Y)
         Y *= inv_iw[:, :, None]
         if include_zero_mode:
             Y[zero_entries] = (u * s)[np.nonzero(zero_entries)[0]]
         E *= Y
-        integrand = J_rows @ E.reshape(N * N, -1)
+        # R and then Y are free: the integrand and its running sums
+        integrand = R_buf[: (N - 1) * S].reshape(N - 1, S)
+        np.matmul(J_rows, E.reshape(N * N, -1), out=integrand)
         if head is None:
-            head = integrand[:, 0]
-        sums = running[:, None] + np.cumsum(integrand, axis=1)
-        here = (ends >= start) & (ends < start + len(s))
+            head = integrand[:, 0].copy()
+        sums = Y_buf[: (N - 1) * S].reshape(N - 1, S)
+        np.cumsum(integrand, axis=1, out=sums)
+        sums += running[:, None]
+        here = (ends >= start) & (ends < start + S)
         k = ends[here] - start
         totals[here] = (h * (sums[:, k] - 0.5 * (head[:, None] + integrand[:, k]))).T
-        running = sums[:, -1]
-        start += len(s)
+        running = sums[:, -1].copy()
+        start += S
     used = h * ends
     values = 2.0 * (-totals / used[:, None]).real
     if np.ndim(t) == 0:

@@ -50,7 +50,11 @@ EXPM_DEGREE = 14
 POSITIVITY_FLOOR = -1e-6
 POSITIVITY_CHUNK = 64
 KERNEL_CUTOFF = 1e-10
-CHUNK_BYTES = 1 << 20  # one (chunk, N, N) complex stack of a streamed window
+# the working set of one chunk of every streamed loop: a finite window's
+# samples (sampled_window), evolve's power tables and continuity_report's
+# pieces of states
+CHUNK_BYTES = 1 << 20
+WINDOW_FLOOR = 128  # samples per chunk of a finite window, at least
 
 
 @dataclass(frozen=True)
@@ -554,7 +558,17 @@ def _frame_energies(V: SpectralOperator) -> np.ndarray:
     return np.mean(V.spectrum.frequencies[V.labels], axis=1)
 
 
-def sampled_window(V: SpectralOperator, k: CorrelationKernel, t, dt: float):
+def window_chunk(sample_bytes: int) -> int:
+    """Samples per chunk of a streamed window that holds sample_bytes per
+    sample: as many as fit in CHUNK_BYTES, but at least WINDOW_FLOOR, so
+    that the fixed cost of a chunk's few dozen numpy calls stays small
+    beside its arithmetic at large N."""
+    return max(WINDOW_FLOOR, CHUNK_BYTES // sample_bytes)
+
+
+def sampled_window(
+    V: SpectralOperator, k: CorrelationKernel, t, dt: float, stacks: int
+):
     """The grid of the longest of the windows t, streamed in chunks with its
     phases.
 
@@ -575,9 +589,19 @@ def sampled_window(V: SpectralOperator, k: CorrelationKernel, t, dt: float):
 
     The phases are stepped: a table exp(i x h k), k < chunk, of every
     frequency x is built once per call, and a chunk starting at s_0 is that
-    table times exp(i x s_0), one exp per frequency per chunk; a zero
-    frequency's phase is exactly 1.  A chunk holds at most CHUNK_BYTES of
-    (N, N, chunk) complex samples, so memory does not grow with the window.
+    table times exp(i x s_0), one exp per frequency per chunk, written into
+    one buffer that every chunk reuses: a chunk's phase and u are
+    overwritten when the next chunk is drawn.  A zero frequency's phase is
+    exactly 1.
+
+    stacks is the number of (N, N) complex arrays per sample that the
+    caller holds while it works on a chunk.  With the step table and the
+    phases (bins + N each), the conjugate of u that the quadratures take
+    (N) and s, g and their kin (4), that is
+    16 (stacks N^2 + 2 (bins + N) + N + 4) bytes per sample, and a chunk
+    is window_chunk of that many samples (the first chunk is the longest):
+    the whole working set of a chunk fits in CHUNK_BYTES, down to
+    WINDOW_FLOOR samples, whatever the window is.
     The one sampled pipeline of both finite-window quadratures.
 
     Raises, before any sample is taken, PointwiseUndefined, ValueError (t
@@ -605,15 +629,20 @@ def sampled_window(V: SpectralOperator, k: CorrelationKernel, t, dt: float):
     h = lengths[-1] / n
     ends = np.maximum(np.rint(lengths / h).astype(int), 1)
     N = V.eig.dimension
-    size = min(n + 1, max(1, CHUNK_BYTES // (16 * N * N)))
     rates = np.concatenate([V.spectrum.frequencies, _frame_energies(V)])
-    steps = np.exp(1j * np.multiply.outer(rates, h * np.arange(size)))
+    size = min(n + 1, window_chunk(16 * (stacks * N * N + 2 * len(rates) + N + 4)))
+    steps = np.multiply.outer(rates, h * np.arange(size)) * 1j
+    np.exp(steps, out=steps)
+    buffer = np.empty(steps.size, dtype=complex)
     bins = len(V.spectrum)
 
     def chunks():
         for start in range(0, n + 1, size):
             s = h * np.arange(start, min(start + size, n + 1))
-            phases = steps[:, : len(s)] * np.exp(1j * s[0] * rates)[:, None]
+            phases = buffer[: len(rates) * len(s)].reshape(len(rates), len(s))
+            np.multiply(
+                steps[:, : len(s)], np.exp(1j * s[0] * rates)[:, None], out=phases
+            )
             yield s, sample_kernel(k, s), phases[:bins], phases[bins:]
 
     return h, ends, chunks()
@@ -624,7 +653,9 @@ def triangle_convolution(
     phase: np.ndarray,
     g: np.ndarray,
     h: float,
-    carry: np.ndarray | None = None,
+    carry: np.ndarray | None,
+    out: np.ndarray,
+    work: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoid of C(s) = int_0^s g(s - u) V_u du for one chunk, less its
     outer phase.
@@ -643,32 +674,45 @@ def triangle_convolution(
     in the energy basis, and the carry for the next chunk.  The quadratures
     put the outer phase on in sampled_window's rotating frame,
     C(s) = diag(u) R(s) diag(conj u).
+
+    out and work are flat complex buffers of at least N^2 chunk entries,
+    allocated once per window by the caller.  R is returned as a view of
+    out, the per-bin terms are formed in out before R is gathered over
+    them, and work holds the running sums, so a chunk allocates only its
+    (bins,) carry.
     """
-    F = phase.conj()
+    N = V.eig.dimension
+    bins, S = phase.shape
+    F = out[: bins * S].reshape(bins, S)
+    np.conjugate(phase, out=F)
     F *= g
     if carry is None:
-        carry = np.full(len(F), -0.5 * g[0])
-    running = np.cumsum(F, axis=1)
+        carry = np.full(bins, -0.5 * g[0])
+    running = work[: bins * S].reshape(bins, S)
+    np.cumsum(F, axis=1, out=running)
     running += carry[:, None]
     carry = running[:, -1].copy()
     F *= 0.5
     running -= F
     running *= h
-    del F  # freed before the gather allocates the chunk's R
-    R = running[V.labels]
+    R = out[: N * N * S].reshape(N, N, S)
+    # the labels are bin indices, so "clip" never clips; unlike "raise" it
+    # gathers straight into out, without a buffer of R's size
+    np.take(running, V.labels.ravel(), axis=0, out=R.reshape(N * N, S), mode="clip")
     R *= V.source[:, :, None]
     return R, carry
 
 
-def _map_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _map_sum(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Sum over samples and terms of B[l, j] A[i, k], for (N, N, S, 4) stacks.
 
-    One matrix product over the summed axis; entry [(l, j), (i, k)] of the
-    result, reordered to the row (j, i) and the column (l, k), is the
-    matrix of X -> sum A X B on column-stacked X.
+    One matrix product over the summed axis, into out; entry
+    [(l, j), (i, k)] of the result, reordered to the row (j, i) and the
+    column (l, k), is the matrix of X -> sum A X B on column-stacked X.
+    A run of samples of a chunk's buffers is a strided view, not a copy.
     """
     N = A.shape[0]
-    return B.reshape(N * N, -1) @ A.reshape(N * N, -1).T
+    return np.matmul(B.reshape(N * N, -1), A.reshape(N * N, -1).T, out=out)
 
 
 def pre_lindblad_generator(V: SpectralOperator, k: CorrelationKernel, delta, dt: float):
@@ -692,7 +736,11 @@ def pre_lindblad_generator(V: SpectralOperator, k: CorrelationKernel, delta, dt:
     sample are written in place into two (N, N, chunk, 4) buffers, side by
     side on the summed axis, so their nearly cancelling products are added
     next to each other; the result is rotated to the site basis once, with
-    kron(conj U, U).  Besides the result only O(chunk N^2) memory is held,
+    kron(conj U, U).  A chunk holds 11 (N, N) stacks per sample: the two
+    term buffers, R, its product with V and Phi, all allocated once per
+    call at the first chunk's size and filled in place; with
+    sampled_window's phases that fits CHUNK_BYTES (window_chunk).  Besides
+    it only the (T, N^2, N^2) result and two N^2 x N^2 sums are held,
     whatever delta is.
 
     delta is one window length or a sorted 1-D array of them.  The
@@ -704,69 +752,71 @@ def pre_lindblad_generator(V: SpectralOperator, k: CorrelationKernel, delta, dt:
     matrices, shape (T, N^2, N^2).  The input checks of sampled_window
     apply.
     """
-    h, ends, chunks = sampled_window(V, k, delta, dt)
+    h, ends, chunks = sampled_window(V, k, delta, dt, 11)
     N = V.eig.dimension
     src = V.source
     eps = _frame_energies(V)
     same = eps[:, None] == eps[None, :]
     ident = np.eye(N, dtype=complex)[:, :, None]
     M = np.zeros((N * N, N * N), dtype=complex)  # rows (l, j), columns (i, k)
+    product = np.empty_like(M)
     snapshots = np.empty((len(ends), N * N, N * N), dtype=complex)
-    A = B = work = None
+    A = None
     carry = carry_bar = None
     start = 0
     for s, g, phase, u in chunks:
         S = len(s)
-        if A is None:
-            A = np.empty(N * N * S * 4, dtype=complex)
-            B = np.empty_like(A)
-            work = np.empty(N * N * S, dtype=complex)
+        if A is None:  # the first chunk is the longest
+            A, B = (np.empty(N * N * S * 4, dtype=complex) for _ in range(2))
+            R_buf, work, phi_buf = (
+                np.empty(N * N * S, dtype=complex) for _ in range(3)
+            )
+            weights = np.full(S, h)
         # per sample, A holds (wC, -V_s wC, V_s, -1) and B (V_s, 1, wCbar,
         # wCbar V_s), each Phi times a product with the constant V
         a = A[: N * N * S * 4].reshape(N, N, S, 4)
         b = B[: N * N * S * 4].reshape(N, N, S, 4)
         tmp = work[: N * N * S].reshape(N, N, S)
-        w = np.full(S, h)
-        if start == 0:
-            w[0] = h / 2.0
-        phi = u[:, None, :] * u.conj()[None, :, :]
+        phi = phi_buf[: N * N * S].reshape(N, N, S)
+        w = weights[:S]
+        w[0] = h / 2.0 if start == 0 else h
+        np.multiply(u[:, None, :], u.conj()[None, :, :], out=phi)
         phi[same] = 1.0
-        R, carry = triangle_convolution(V, phase, g, h, carry)
+        R, carry = triangle_convolution(V, phase, g, h, carry, R_buf, work)
         R *= w
         np.multiply(phi, R, out=a[..., 0])
         np.matmul(src, R.reshape(N, -1), out=tmp.reshape(N, -1))
-        del R
         np.multiply(phi, tmp, out=a[..., 1])
         np.negative(a[..., 1], out=a[..., 1])
         np.multiply(phi, src[:, :, None], out=a[..., 2])
         a[..., 3] = -ident
         b[..., 0] = a[..., 2]
         b[..., 1] = ident
-        R, carry_bar = triangle_convolution(V, phase, np.conj(g), h, carry_bar)
+        R, carry_bar = triangle_convolution(
+            V, phase, np.conj(g), h, carry_bar, R_buf, work
+        )
         R *= w
         np.multiply(phi, R, out=b[..., 2])
         np.matmul(src.T, R, out=tmp)
-        del R
         np.multiply(phi, tmp, out=b[..., 3])
         lo = 0
-        for end in np.unique(ends[(ends >= start) & (ends < start + S)]):
+        for end in sorted(set(ends[(ends >= start) & (ends < start + S)].tolist())):
             # the window ending at this sample takes it with half its weight
             here = end - start
-            M += _map_sum(a[:, :, lo:here], b[:, :, lo:here])
-            last = _map_sum(a[:, :, here : here + 1], b[:, :, here : here + 1])
+            M += _map_sum(a[:, :, lo:here], b[:, :, lo:here], product)
+            last = _map_sum(a[:, :, here : here + 1], b[:, :, here : here + 1], product)
             snapshots[ends == end] = M + 0.5 * last
             M += last
             lo = here + 1
-        M += _map_sum(a[:, :, lo:], b[:, :, lo:])
+        M += _map_sum(a[:, :, lo:], b[:, :, lo:], product)
         start += S
-        # nothing of this chunk may outlive it while the next one is drawn
-        del s, g, phase, u, phi, a, b, tmp
     lengths = h * ends
     K = np.kron(V.eig.basis.conj(), V.eig.basis)
-    maps = np.empty_like(snapshots)
+    # each raw is a copy (the transpose does not reshape as a view), so the
+    # site-basis map is written back over its own snapshot
     for q, raw in enumerate(snapshots):
         raw = raw.reshape(N, N, N, N).transpose(1, 2, 0, 3).reshape(N * N, N * N)
-        maps[q] = K @ (raw / lengths[q]) @ K.conj().T
+        snapshots[q] = K @ (raw / lengths[q]) @ K.conj().T
     if np.ndim(delta) == 0:
-        return SuperOperator(N, maps[0])
-    return lengths, maps
+        return SuperOperator(N, snapshots[0])
+    return lengths, snapshots

@@ -28,8 +28,8 @@ CHUNK_AGREEMENT = 1e-13  # one chunking vs another, same relative scale
 SHORT_CHUNK = 97  # samples; every window below then spans several chunks
 
 
-def _chunk_samples(monkeypatch, samples, N):
-    monkeypatch.setattr(lindblad, "CHUNK_BYTES", samples * 16 * N * N)
+def _chunk_samples(monkeypatch, samples):
+    monkeypatch.setattr(lindblad, "window_chunk", lambda sample_bytes: samples)
 
 
 def _whole_window(V, k, t, dt):
@@ -116,10 +116,7 @@ def _oracle_pair(b, rho, include_zero_mode=False):
 
 @pytest.fixture
 def short_chunks(monkeypatch):
-    def use(N):
-        _chunk_samples(monkeypatch, SHORT_CHUNK, N)
-
-    return use
+    _chunk_samples(monkeypatch, SHORT_CHUNK)
 
 
 def _pre_lindblad_pair(b, delta):
@@ -175,7 +172,6 @@ def test_streamed_oracle_matches_whole_window(
     request, short_chunks, case, include_zero_mode
 ):
     b = CASES[case](request)
-    short_chunks(b.eig.dimension)
     rho = random_density(np.random.default_rng(17), b.eig.dimension)
     got, want = _oracle_pair(b, rho, include_zero_mode)
     if case != "one_bin" or include_zero_mode:  # else every phase factor is 0
@@ -186,7 +182,6 @@ def test_streamed_oracle_matches_whole_window(
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_streamed_pre_lindblad_matches_whole_window(request, short_chunks, case):
     b = CASES[case](request)
-    short_chunks(b.eig.dimension)
     got, want = _pre_lindblad_pair(b, 4.0)
     assert np.max(np.abs(want)) > 0.0
     _assert_agree(got, want, AGREEMENT)
@@ -222,7 +217,7 @@ def test_streamed_quadratures_match_whole_window_on_generated_chains(b):
     DUST = 1e-15
     term = b.kernel.gamma * np.max(np.abs(b.engine.coupling.source)) ** 2
     with pytest.MonkeyPatch.context() as mp:
-        _chunk_samples(mp, SHORT_CHUNK, b.eig.dimension)
+        _chunk_samples(mp, SHORT_CHUNK)
         delta = 3.0
         got, want = _pre_lindblad_pair(b, delta)
         _assert_agree(got, want, AGREEMENT, DUST * term * delta)
@@ -245,7 +240,7 @@ def test_chunk_size_does_not_change_the_quadratures(ref4, monkeypatch):
         t += dt
     results = []
     for samples in (1, 7, divisors[-1], n + 2):
-        _chunk_samples(monkeypatch, samples, 4)
+        _chunk_samples(monkeypatch, samples)
         oracle = lc.jd_finite_time_oracle(
             ref4.ops, ref4.eig, ref4.spectrum, ref4.kernel, rho, t, dt
         )
@@ -260,7 +255,6 @@ def test_chunk_size_does_not_change_the_quadratures(ref4, monkeypatch):
 def test_oracle_ladder_reads_each_window_off_one_pass(ref4, short_chunks):
     """Every window of a ladder ends at the grid point of the longest window
     nearest to its length, and its value is that window's own quadrature."""
-    short_chunks(4)
     rho = random_density(np.random.default_rng(7), 4)
     t, bound = _oracle_window(ref4)
     lengths = t * np.array([1.0, 1.37, 1.37, 2.0, 3.1])
@@ -291,7 +285,6 @@ def test_pre_lindblad_ladder_reads_each_window_off_one_pass(ref4, short_chunks):
     """Every window of a ladder ends at a grid point of the longest window,
     mid-chunk or on a chunk boundary, and its map is that window's own
     quadrature, divided by the length it integrates."""
-    short_chunks(4)
     V, kernel = ref4.engine.coupling, ref4.kernel
     dt = resolution_bound(kernel, ref4.spectrum) / 2.0
     longest = 3.0
@@ -343,7 +336,7 @@ def test_ladders_match_whole_window_on_generated_chains(b):
     g0 = abs(sample_kernel(b.kernel, np.zeros(1))[0])
     term = g0 * np.max(np.abs(b.engine.coupling.source)) ** 2
     with pytest.MonkeyPatch.context() as mp:
-        _chunk_samples(mp, SHORT_CHUNK, b.eig.dimension)
+        _chunk_samples(mp, SHORT_CHUNK)
         V = b.engine.coupling
         dt = resolution_bound(b.kernel, b.spectrum)
         used, maps = lc.pre_lindblad_generator(V, b.kernel, np.array([1.3, 2.0]), dt)
@@ -379,11 +372,10 @@ def test_sampled_window_steps_the_rotating_frame(short_chunks, case):
     as np.exp's own argument does, so the phases agree to 1e-15 per unit
     of argument (1.2e-15 at |x s| = 12 on random12)."""
     b = _random12() if case == "random12" else _one_bin()
-    short_chunks(b.eig.dimension)
     V = b.engine.coupling
     freqs = V.spectrum.frequencies
     eps = lindblad._frame_energies(V)
-    _, _, chunks = lindblad.sampled_window(V, b.kernel, 3.0, 0.01)
+    _, _, chunks = lindblad.sampled_window(V, b.kernel, 3.0, 0.01, 0)
     walked = 0
     for s, _, phase, u in chunks:
         assert len(s) <= SHORT_CHUNK
@@ -429,6 +421,11 @@ def test_memory_does_not_grow_with_the_window(ref4):
 
     for run in (oracle, pre):
         assert _peak_bytes(run(4.0 * short)) <= 1.25 * _peak_bytes(run(short))
-    # one chunk's samples and two (chunk, 4, N, N) term buffers, not the
-    # previous chunk's arrays on top
-    assert _peak_bytes(pre(4.0 * short)) <= 16 * lindblad.CHUNK_BYTES
+    # a chunk's whole working set fits in CHUNK_BYTES; on top come numpy's
+    # ufunc buffers (at most three operands of bufsize complex entries, for
+    # a broadcast product) and, for the map, its O(T N^4) result, running
+    # sums and rotation, with T = 1 window here
+    buffers = 3 * 16 * np.getbufsize()
+    assert _peak_bytes(oracle(4.0 * short)) <= lindblad.CHUNK_BYTES + buffers
+    output = 8 * 16 * 4**4
+    assert _peak_bytes(pre(4.0 * short)) <= lindblad.CHUNK_BYTES + buffers + output
