@@ -545,6 +545,11 @@ def main(argv=None) -> int:
     except (LindcurError, OSError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # the backstop for a model too large for this machine; numpy's
+        # _ArrayMemoryError is reported under the builtin's name
+        print(f"ERROR MemoryError: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

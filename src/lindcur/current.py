@@ -343,12 +343,13 @@ def jd_finite_time_oracle(
     nearest to it.  A chunk holds 3 (N, N) stacks per sample, R, Y and E,
     allocated once per call at the first chunk's size and filled in place
     (the per-bin sums of triangle_convolution, the phase factor, the
-    integrand and its running sums reuse them); with sampled_window's
-    phases that fits CHUNK_BYTES (window_chunk).  Besides it memory is
-    O(bins + len(t) (N - 1)) whatever the lengths are.  For a scalar t
-    returns the (N-1,) values of that window; for an array returns
-    (times, values): the grid times used, shape (T,), and one row of
-    values per time, shape (T, N-1).
+    broadcast copies of u, conj(u) and 1/(i w) that keep every product
+    free of broadcast operands, the integrand and its running sums reuse
+    them); with sampled_window's phases that fits CHUNK_BYTES
+    (window_chunk).  Besides it memory is O(bins + len(t) (N - 1))
+    whatever the lengths are.  For a scalar t returns the (N-1,) values of
+    that window; for an array returns (times, values): the grid times
+    used, shape (T,), and one row of values per time, shape (T, N-1).
     The input checks of sampled_window apply; every t must reach the
     averaging horizon.
     """
@@ -385,21 +386,33 @@ def jd_finite_time_oracle(
     for s, g, phase, u in chunks:
         S = len(s)
         if head is None:  # the first chunk is the longest
-            R_buf, Y_buf, E_buf = (np.empty(N * N * S, dtype=complex) for _ in range(3))
+            R_buf = np.empty(N * N * S, dtype=complex)
+            # Y and E side by side: triangle_convolution's work buffer
+            YE_buf = np.empty(2 * N * N * S, dtype=complex)
+            Y_buf, E_buf = YE_buf[: N * N * S], YE_buf[N * N * S :]
         Y = Y_buf[: N * N * S].reshape(N, N, S)
         E = E_buf[: N * N * S].reshape(N, N, S)
         ubar = u.conj()
-        R, carry = triangle_convolution(coupling, phase, g, h, carry, R_buf, E_buf)
-        R *= ubar  # R conj(P), then Y = R conj(P) rho
+        R, carry = triangle_convolution(coupling, phase, g, h, carry, R_buf, YE_buf)
+        # every factor that varies along some axes only is broadcast-copied
+        # into a free stack first: numpy's buffered loop would copy a
+        # broadcast operand of a small product
+        E[...] = ubar
+        R *= E  # R conj(P), then Y = R conj(P) rho
         np.matmul(rho_en.T, R, out=Y)
-        np.multiply(Y, u, out=R)
+        E[...] = u
+        np.multiply(Y, E, out=R)
         np.matmul(V.T, R, out=E)  # (Y P) V conj(P)
-        E *= ubar
+        R[...] = ubar
+        E *= R
         np.matmul(V, Y.reshape(N, -1), out=R.reshape(N, -1))
         E -= R
-        # Y becomes the phase factor of entry [j, i]
-        np.subtract(u[None, :, :], u[:, None, :], out=Y)
-        Y *= inv_iw[:, :, None]
+        # Y becomes the phase factor of entry [j, i], (u_i - u_j) / (i w)
+        Y[...] = u[None, :, :]
+        R[...] = u[:, None, :]
+        Y -= R
+        R[...] = inv_iw[:, :, None]
+        Y *= R
         if include_zero_mode:
             Y[zero_entries] = (u * s)[np.nonzero(zero_entries)[0]]
         E *= Y
@@ -410,7 +423,9 @@ def jd_finite_time_oracle(
             head = integrand[:, 0].copy()
         sums = Y_buf[: (N - 1) * S].reshape(N - 1, S)
         np.cumsum(integrand, axis=1, out=sums)
-        sums += running[:, None]
+        offset = E_buf[: (N - 1) * S].reshape(N - 1, S)
+        offset[...] = running[:, None]
+        sums += offset
         here = (ends >= start) & (ends < start + S)
         k = ends[here] - start
         totals[here] = (h * (sums[:, k] - 0.5 * (head[:, None] + integrand[:, k]))).T

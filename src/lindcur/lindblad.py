@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +52,9 @@ POSITIVITY_FLOOR = -1e-6
 POSITIVITY_CHUNK = 64
 KERNEL_CUTOFF = 1e-10
 # the working set of one chunk of every streamed loop: a finite window's
-# samples (sampled_window), evolve's power tables and continuity_report's
-# pieces of states
+# samples (sampled_window), evolve's power tables, continuity_report's
+# pieces of states and the states PackedStates unpacks per piece when
+# iterated
 CHUNK_BYTES = 1 << 20
 WINDOW_FLOOR = 128  # samples per chunk of a finite window, at least
 
@@ -106,12 +108,72 @@ class LindbladGenerator:
         return eig.to_site_basis(_block_action(self, eig.to_energy_basis(rho)))
 
 
+class PackedStates:
+    """A read-only sequence of Hermitian N x N states, stored as N^2 reals
+    each.
+
+    packed is a (T, N, N) float array whose entry [i, j] holds Re rho_ij
+    for i <= j and Im rho_ji for i > j.  Reading unpacks by copying and
+    negating only, so a state stored exactly Hermitian (mirrored entries
+    exact conjugates, a diagonal with zero imaginary parts) comes back bit
+    for bit.  An int index, negative included, gives a new (N, N) complex
+    array, a slice, with or without a step, a new (k, N, N) one, and
+    np.asarray the whole (T, N, N) stack.  Iteration unpacks a fresh piece
+    of CHUNK_BYTES of complex states at a time and yields its states.
+    """
+
+    def __init__(self, packed: np.ndarray):
+        self.packed = packed
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return _unpack(self.packed[key])
+        return _unpack(self.packed[operator.index(key)][None])[0]
+
+    def __iter__(self):
+        N = self.packed.shape[-1]
+        size = max(1, CHUNK_BYTES // (16 * N * N))
+        for first in range(0, len(self), size):
+            yield from self[first : first + size]
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("the packed states cannot be read without a copy")
+        return self[:] if dtype is None else self[:].astype(dtype, copy=False)
+
+
+def _pack(states: np.ndarray, out: np.ndarray) -> None:
+    """Write the (k, N, N) stack of exactly Hermitian states into the
+    (k, N, N) float array out in PackedStates' layout."""
+    i, j = np.tril_indices(states.shape[-1], -1)
+    out[...] = states.real
+    out[:, i, j] = states.imag[:, j, i]
+
+
+def _unpack(packed: np.ndarray) -> np.ndarray:
+    """The (k, N, N) complex states of a stack in PackedStates' layout."""
+    i, j = np.tril_indices(packed.shape[-1], -1)
+    states = np.empty(packed.shape, dtype=complex)
+    re, im = states.real, states.imag
+    re[...] = packed
+    re[:, i, j] = packed[:, j, i]
+    im[:, j, i] = packed[:, i, j]
+    im[:, i, j] = -packed[:, i, j]
+    im[:, range(packed.shape[-1]), range(packed.shape[-1])] = 0.0
+    return states
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """States at every integrator step, with per-step correction logs."""
+    """States at every integrator step, packed as N^2 reals each
+    (PackedStates, empty when evolve streamed them to a consumer), with
+    per-step correction logs."""
 
     times: np.ndarray
-    states: list
+    states: PackedStates
     herm_defects: np.ndarray
     trace_defects: np.ndarray
 
@@ -386,21 +448,27 @@ def evolve(
     is no truncation error and no stability bound: dt only sets the
     spacing of the stored states.
 
-    Stores the state at every step.  The applied correction magnitudes
-    are recorded in the trajectory so drift never disappears silently (the
-    Hermiticity correction is measured in the energy basis).  After each
-    chunk positivity is certified (_guard_positivity), so at most c steps
-    are taken past a state that has lost it; then the chunk is rotated to
-    the site basis and Hermitized there.  Besides the stored states,
-    memory is O(c sum of m^2): the power tables, at most CHUNK_BYTES, and
-    a few (c, N, N) stacks.
+    The initial state is replaced by its Hermitian part (rho0 + rho0^dag)/2
+    once, after validation, which changes no bit of an exactly Hermitian
+    rho0.  The applied correction magnitudes are recorded in the trajectory
+    so drift never disappears silently (the Hermiticity correction is
+    measured in the energy basis).  After each chunk positivity is
+    certified (_guard_positivity), so at most c steps are taken past a
+    state that has lost it; then the chunk is rotated to the site basis
+    and Hermitized there, as (S + S^dag)/2, which is Hermitian bit for bit.
+
+    The state at every step is stored, as its N^2 reals (PackedStates) in
+    one (n_steps + 1, N, N) float array allocated up front: 8 N^2 bytes a
+    state, and reading a state back gives its complex matrix bit for bit.
+    Besides the stored states, memory is O(c sum of m^2): the power
+    tables, at most CHUNK_BYTES, and a few (c, N, N) stacks.
 
     With consumer set, nothing is stored: consumer(times, states) is
     called with each chunk in turn, first the (1, N, N) initial state,
     then every (k, N, N) stack of certified site-basis states with its (k,)
     times, and the trajectory comes back with its times and correction
-    logs and an empty states list.  The chunks concatenated are the states
-    evolve stores without it, bit for bit.
+    logs and no states.  The chunks concatenated are the states evolve
+    stores without it, bit for bit.
 
     Raises ValueError for dt <= 0 or t_final < 0 (before any matrix is
     built) and PositivityLost for the first state with an eigenvalue below
@@ -411,13 +479,21 @@ def evolve(
         raise ValueError("dt must be positive")
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
-    states = []
-    if consumer is None:
-        def consumer(_, chunk):
-            states.extend(chunk)
+    rho0 = (rho0 + rho0.conj().T) / 2.0
+    N = G.dimension
     n_steps = max(1, math.ceil(t_final / dt - 1e-12)) if t_final > 0 else 0
     h = t_final / max(n_steps, 1)
     times = h * np.arange(n_steps + 1)
+    if consumer is None:
+        states = PackedStates(np.empty((n_steps + 1, N, N)))
+        filled = 0
+
+        def consumer(_, chunk):
+            nonlocal filled
+            _pack(chunk, states.packed[filled : filled + len(chunk)])
+            filled += len(chunk)
+    else:
+        states = PackedStates(np.empty((0, N, N)))
     consumer(times[:1], rho0.copy()[None])
     if n_steps == 0:
         return Trajectory(
@@ -426,7 +502,6 @@ def evolve(
             herm_defects=np.array([0.0]),
             trace_defects=np.array([0.0]),
         )
-    N = G.dimension
     order = G.block_order
     where = np.empty_like(order)
     where[order] = np.arange(N * N)
@@ -640,9 +715,16 @@ def sampled_window(
         for start in range(0, n + 1, size):
             s = h * np.arange(start, min(start + size, n + 1))
             phases = buffer[: len(rates) * len(s)].reshape(len(rates), len(s))
-            np.multiply(
-                steps[:, : len(s)], np.exp(1j * s[0] * rates)[:, None], out=phases
-            )
+            # the first phases are spread over the chunk before the product,
+            # which then takes no broadcast operand (numpy's buffered loop
+            # would copy one); a last, shorter chunk takes the table row by
+            # row, as a strided view of it would be buffered too
+            phases[...] = np.exp(1j * s[0] * rates)[:, None]
+            if len(s) == size:
+                np.multiply(steps, phases, out=phases)
+            else:
+                for step, row in zip(steps, phases):
+                    np.multiply(step[: len(s)], row, out=row)
             yield s, sample_kernel(k, s), phases[:bins], phases[bins:]
 
     return h, ends, chunks()
@@ -675,22 +757,28 @@ def triangle_convolution(
     put the outer phase on in sampled_window's rotating frame,
     C(s) = diag(u) R(s) diag(conj u).
 
-    out and work are flat complex buffers of at least N^2 chunk entries,
-    allocated once per window by the caller.  R is returned as a view of
-    out, the per-bin terms are formed in out before R is gathered over
-    them, and work holds the running sums, so a chunk allocates only its
-    (bins,) carry.
+    out and work are flat complex buffers of at least N^2 and 2 N^2 chunk
+    entries, allocated once per window by the caller.  R is returned as a
+    view of out, the per-bin terms are formed in out before R is gathered
+    over them, and work holds the running sums and the broadcast copies,
+    so a chunk allocates only its (bins,) carry.  Every factor that varies
+    along one axis only is broadcast-copied into work before its product:
+    numpy's buffered loop would copy a broadcast operand of a small
+    product, beyond the caller's working set.
     """
     N = V.eig.dimension
     bins, S = phase.shape
     F = out[: bins * S].reshape(bins, S)
+    running = work[: bins * S].reshape(bins, S)
+    spread = work[bins * S : 2 * bins * S].reshape(bins, S)
     np.conjugate(phase, out=F)
-    F *= g
+    spread[...] = g
+    F *= spread
     if carry is None:
         carry = np.full(bins, -0.5 * g[0])
-    running = work[: bins * S].reshape(bins, S)
     np.cumsum(F, axis=1, out=running)
-    running += carry[:, None]
+    spread[...] = carry[:, None]
+    running += spread
     carry = running[:, -1].copy()
     F *= 0.5
     running -= F
@@ -699,7 +787,9 @@ def triangle_convolution(
     # the labels are bin indices, so "clip" never clips; unlike "raise" it
     # gathers straight into out, without a buffer of R's size
     np.take(running, V.labels.ravel(), axis=0, out=R.reshape(N * N, S), mode="clip")
-    R *= V.source[:, :, None]
+    spread = work[: N * N * S].reshape(N, N, S)
+    spread[...] = V.source[:, :, None]
+    R *= spread
     return R, carry
 
 
@@ -738,10 +828,12 @@ def pre_lindblad_generator(V: SpectralOperator, k: CorrelationKernel, delta, dt:
     next to each other; the result is rotated to the site basis once, with
     kron(conj U, U).  A chunk holds 11 (N, N) stacks per sample: the two
     term buffers, R, its product with V and Phi, all allocated once per
-    call at the first chunk's size and filled in place; with
-    sampled_window's phases that fits CHUNK_BYTES (window_chunk).  Besides
-    it only the (T, N^2, N^2) result and two N^2 x N^2 sums are held,
-    whatever delta is.
+    call at the first chunk's size and filled in place (the product with
+    V also takes the broadcast copies that keep every product free of
+    broadcast operands, and the second term buffer is the convolutions'
+    work); with sampled_window's phases that fits CHUNK_BYTES
+    (window_chunk).  Besides it only the (T, N^2, N^2) result and two
+    N^2 x N^2 sums are held, whatever delta is.
 
     delta is one window length or a sorted 1-D array of them.  The
     integrand does not depend on the window length, so the longest window
@@ -768,34 +860,42 @@ def pre_lindblad_generator(V: SpectralOperator, k: CorrelationKernel, delta, dt:
         S = len(s)
         if A is None:  # the first chunk is the longest
             A, B = (np.empty(N * N * S * 4, dtype=complex) for _ in range(2))
-            R_buf, work, phi_buf = (
+            R_buf, tmp_buf, phi_buf = (
                 np.empty(N * N * S, dtype=complex) for _ in range(3)
             )
             weights = np.full(S, h)
         # per sample, A holds (wC, -V_s wC, V_s, -1) and B (V_s, 1, wCbar,
-        # wCbar V_s), each Phi times a product with the constant V
+        # wCbar V_s), each Phi times a product with the constant V; B is
+        # the work buffer of both convolutions, so it is filled after them
         a = A[: N * N * S * 4].reshape(N, N, S, 4)
         b = B[: N * N * S * 4].reshape(N, N, S, 4)
-        tmp = work[: N * N * S].reshape(N, N, S)
+        tmp = tmp_buf[: N * N * S].reshape(N, N, S)
         phi = phi_buf[: N * N * S].reshape(N, N, S)
         w = weights[:S]
         w[0] = h / 2.0 if start == 0 else h
-        np.multiply(u[:, None, :], u.conj()[None, :, :], out=phi)
+        # as in triangle_convolution, a factor that varies along some axes
+        # only is copied into tmp before its product
+        phi[...] = u[:, None, :]
+        tmp[...] = u.conj()[None, :, :]
+        phi *= tmp
         phi[same] = 1.0
-        R, carry = triangle_convolution(V, phase, g, h, carry, R_buf, work)
-        R *= w
+        R, carry = triangle_convolution(V, phase, g, h, carry, R_buf, B)
+        tmp[...] = w
+        R *= tmp
         np.multiply(phi, R, out=a[..., 0])
         np.matmul(src, R.reshape(N, -1), out=tmp.reshape(N, -1))
         np.multiply(phi, tmp, out=a[..., 1])
         np.negative(a[..., 1], out=a[..., 1])
-        np.multiply(phi, src[:, :, None], out=a[..., 2])
+        tmp[...] = src[:, :, None]
+        np.multiply(phi, tmp, out=a[..., 2])
         a[..., 3] = -ident
+        R, carry_bar = triangle_convolution(
+            V, phase, np.conj(g), h, carry_bar, R_buf, B
+        )
+        tmp[...] = w
+        R *= tmp
         b[..., 0] = a[..., 2]
         b[..., 1] = ident
-        R, carry_bar = triangle_convolution(
-            V, phase, np.conj(g), h, carry_bar, R_buf, work
-        )
-        R *= w
         np.multiply(phi, R, out=b[..., 2])
         np.matmul(src.T, R, out=tmp)
         np.multiply(phi, tmp, out=b[..., 3])

@@ -659,6 +659,25 @@ def test_unwritable_output_fails_before_any_work(tmp_path, capsys, monkeypatch, 
     assert len(err) == 1 and err[0].startswith("ERROR NotADirectoryError: "), err
 
 
+class _ArrayMemoryError(MemoryError):
+    """Stands in for numpy's private MemoryError subclass."""
+
+
+@pytest.mark.parametrize("command", ["simulate", "steady", "verify"])
+def test_memory_error_ends_in_one_error_line(tmp_path, capsys, monkeypatch, command):
+    """A model too large to build ends main with exit 1 and one line, not
+    a traceback, whatever MemoryError subclass numpy raises."""
+    cfg = _config(tmp_path, _reference_payload())
+
+    def exhaust(cfg):
+        raise _ArrayMemoryError("Unable to allocate 1.27 GiB for an array")
+
+    monkeypatch.setattr(cli, "build_workbench", exhaust)
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["ERROR MemoryError: Unable to allocate 1.27 GiB for an array"]
+
+
 def test_failed_run_leaves_earlier_tables_unchanged(tmp_path, monkeypatch):
     """Rows already written when positivity is lost stay in temporaries,
     which are removed; the tables of the earlier run are kept."""

@@ -456,7 +456,7 @@ def test_evolve_consumer_gets_the_stored_states(ref4, t_final):
     streamed = evolve(
         ref4.generator, rho0, t_final, 0.01, lambda t, s: chunks.append((t, s))
     )
-    assert streamed.states == []
+    assert len(streamed.states) == 0
     for field in ("times", "herm_defects", "trace_defects"):
         np.testing.assert_array_equal(getattr(streamed, field), getattr(stored, field))
     assert [len(t) for t, _ in chunks] == [len(s) for _, s in chunks]
@@ -465,6 +465,73 @@ def test_evolve_consumer_gets_the_stored_states(ref4, t_final):
         np.concatenate([s for _, s in chunks]), np.array(stored.states)
     )
     assert len(chunks[0][1]) == 1
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_steps", [63, 64, 65, 129])
+@pytest.mark.parametrize("model", ["ref4", "uniform6", "random8"])
+def test_stored_states_read_back_as_the_streamed_ones(
+    request, monkeypatch, model, n_steps
+):
+    """Every way of reading the packed store gives the consumer's complex
+    states bit for bit: int and negative indices, plain and stepped
+    slices, iteration over pieces of CHUNK_BYTES (7 states here, so that
+    list() keeps several pieces) and np.asarray."""
+    G = build_generator(*MODELS[model](request))
+    N = G.dimension
+    rho0 = random_density(np.random.default_rng(n_steps), N)
+    stored = evolve(G, rho0, 0.25 * n_steps, 0.25)
+    chunks = []
+    evolve(G, rho0, 0.25 * n_steps, 0.25, lambda t, s: chunks.append(s))
+    want = np.concatenate(chunks)
+    states = stored.states
+    assert len(states) == len(want) == n_steps + 1
+    for i in (0, 1, n_steps // 2, n_steps, -1, -n_steps - 1):
+        _assert_same_bits(states[i], want[i])
+    _assert_same_bits(states[np.int64(3)], want[3])
+    for part in (slice(None), slice(5, 40), slice(None, None, 7), slice(-9, None, 2)):
+        _assert_same_bits(states[part], want[part])
+    with pytest.raises(IndexError):
+        states[n_steps + 1]
+    monkeypatch.setattr(lindblad, "CHUNK_BYTES", 7 * 16 * N * N)
+    _assert_same_bits(np.array(list(states)), want)
+    _assert_same_bits(np.asarray(states), want)
+
+
+def test_evolve_takes_the_hermitian_part_of_rho0(ref4):
+    """A state Hermitian only within validate_density's 1e-10 starts both
+    paths as its Hermitian part, which the store keeps exactly."""
+    rng = np.random.default_rng(11)
+    rho0 = random_density(rng, 4) + 1e-11j * random_hermitian(rng, 4)
+    hermitian = (rho0 + rho0.conj().T) / 2.0
+    assert np.max(np.abs(rho0 - hermitian)) > 0.0
+    stored = evolve(ref4.generator, rho0, 1.5, 0.01)
+    chunks = []
+    evolve(ref4.generator, rho0, 1.5, 0.01, lambda t, s: chunks.append(s))
+    _assert_same_bits(stored.states[0], hermitian)
+    _assert_same_bits(chunks[0][0], hermitian)
+    _assert_same_bits(np.asarray(stored.states), np.concatenate(chunks))
+
+
+def test_stored_states_take_n_squared_reals_each():
+    """2 000 stored steps at N = 8: 8 N^2 bytes a state, on top of one
+    chunk's working set (at most CHUNK_BYTES) and the (T,) times and
+    correction logs, gathered and concatenated; complex states would take
+    16 N^2 each."""
+    N, T = 8, 2000
+    coupling = np.random.default_rng(N).uniform(-1.0, 1.0, N)
+    G = make_bundle(N, coupling).generator
+    tracemalloc.start()
+    try:
+        evolve(G, _site_state(N), T * 0.01, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * N * N * (T + 1) + lindblad.CHUNK_BYTES + 5 * 8 * (T + 1)
 
 
 def test_evolve_commuting_state_is_constant():

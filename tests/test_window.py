@@ -429,3 +429,26 @@ def test_memory_does_not_grow_with_the_window(ref4):
     assert _peak_bytes(oracle(4.0 * short)) <= lindblad.CHUNK_BYTES + buffers
     output = 8 * 16 * 4**4
     assert _peak_bytes(pre(4.0 * short)) <= lindblad.CHUNK_BYTES + buffers + output
+
+
+def test_quadratures_peak_within_their_chunk_working_sets(ref4):
+    """No product of a chunk (the oracle's, the map's, triangle_convolution
+    or the stepped phases) takes a broadcast operand, which numpy's
+    buffered loop would copy (up to 16 np.getbufsize() bytes each): both
+    quadratures stay within CHUNK_BYTES, plus less than one such buffer
+    for their per-call arrays and, for the map, its one-window output as
+    in test_memory_does_not_grow_with_the_window."""
+    rho = random_density(np.random.default_rng(9), 4)
+    t_min, dt = _oracle_window(ref4)
+    t = 4.0 * max(t_min, 2.5 * (lindblad.CHUNK_BYTES // (16 * 4 * 4)) * dt)
+    budget = lindblad.CHUNK_BYTES + 16 * np.getbufsize() // 2
+    oracle = _peak_bytes(
+        lambda: lc.jd_finite_time_oracle(
+            ref4.ops, ref4.eig, ref4.spectrum, ref4.kernel, rho, t, dt
+        )
+    )
+    assert oracle <= budget
+    pre = _peak_bytes(
+        lambda: lc.pre_lindblad_generator(ref4.engine.coupling, ref4.kernel, t, dt)
+    )
+    assert pre <= budget + 8 * 16 * 4**4
