@@ -9,12 +9,12 @@ J_D per bond: the correction whose divergence cancels the dissipative
 source.  This module builds J_D three independent ways and checks them
 against each other:
 
-  * the resonant spectral sum in closed form (jd_observables, with
-    jd_expectation = tr(rho O_b)).  Each energy-basis matrix entry lies in
-    exactly one Bohr bin, so the sum over resonant bin quadruples becomes
-    a sum over index chains (i, j, k, l) of the energy basis, weighted by
-    two elementwise selection rules on the bins of the four factors and
-    contracted in two einsums,
+  * the resonant spectral sum in closed form (the observables O_b of the
+    JDEngine, with jd_expectation = tr(rho O_b)).  Each energy-basis
+    matrix entry lies in exactly one Bohr bin, so the sum over resonant
+    bin quadruples becomes a sum over index chains (i, j, k, l) of the
+    energy basis, weighted by two elementwise selection rules on the bins
+    of the four factors and contracted in two einsums,
   * the cumulative one-dimensional inversion of the source
     (jd_cumulative_1d),
   * a finite-time-average quadrature that knows nothing about the secular
@@ -23,7 +23,7 @@ against each other:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -67,25 +67,23 @@ class ContinuityReport:
 
 @dataclass(frozen=True)
 class JDEngine:
-    """Precomputed spectral data for the correction-current sum.
+    """The decomposed coupling, and the read-only (N - 1, N, N) stacks of
+    the energy-basis bond currents and of the site-basis observables O_b.
 
-    The resonant bin quadruples are the rows (a_J, a_1, a_2, a_rho) of two
-    (n, 4) int arrays of indices into the binned frequencies.  The first
-    family satisfies w_J + w_1 - w_2 = 0 with w_rho = 0 and enters with a plus
-    sign; the second satisfies w_1 = w_2 with w_rho = -w_J and enters with
-    a minus.  Bins with |w_J| at or below the matching tolerance are
-    excluded everywhere: their would-be contribution is divergence-free on
-    an open chain, so the conservation identity does not miss them.
-    jd_observables applies the same two rules elementwise over index
-    chains; the arrays record which quadruples resonate and how many.
+    first_index and second_index, formed from the spectrum on each access
+    (no library path reads them), list the resonant bin quadruples as the
+    rows (a_J, a_1, a_2, a_rho) of (n, 4) int arrays of bin indices.  The
+    first family satisfies w_J + w_1 - w_2 = 0 with w_rho = 0 and enters
+    with a plus sign; the second satisfies w_1 = w_2 with w_rho = -w_J and
+    enters with a minus.  Bins with |w_J| at or below the matching
+    tolerance are excluded everywhere: their would-be contribution is
+    divergence-free on an open chain, so the conservation identity does
+    not miss them.  _observables applies the same two rules elementwise.
     """
 
-    bond_currents: tuple
     coupling: SpectralOperator
-    gplus: HalfFourierTable
-    spectrum: BohrSpectrum
-    first_index: np.ndarray
-    second_index: np.ndarray
+    currents: np.ndarray
+    observables: np.ndarray
 
     @property
     def dimension(self) -> int:
@@ -93,7 +91,15 @@ class JDEngine:
 
     @property
     def n_bonds(self) -> int:
-        return len(self.bond_currents)
+        return len(self.currents)
+
+    @property
+    def first_index(self) -> np.ndarray:
+        return _resonant_quadruples(self.coupling.spectrum)[0]
+
+    @property
+    def second_index(self) -> np.ndarray:
+        return _resonant_quadruples(self.coupling.spectrum)[1]
 
 
 def _near(w: np.ndarray, targets: np.ndarray, tol: float):
@@ -167,28 +173,20 @@ def build_engine(
     spectrum: BohrSpectrum,
     gplus: HalfFourierTable,
 ) -> JDEngine:
-    """Decompose the bond currents and coupling and index the resonances.
+    """Decompose the coupling, rotate the bond currents and form O_b.
 
-    The coupling is decomposed once and the bond currents share its label
-    map, so decompose stays the one binning rule.  The index lists the
-    quadruples in row-major order over the sorted bins, so it is
-    deterministic.  Raises MissingFrequency when the half-Fourier table
-    does not cover the spectrum.
+    The coupling is decomposed once and the bond currents are read with
+    its label map, so decompose stays the one binning rule.  Raises
+    MissingFrequency when the half-Fourier table does not cover the
+    spectrum.
     """
     gplus.value_at(spectrum.frequencies, spectrum.bin_tolerance)
     coupling = decompose(ops.v, eig, spectrum)
-    bond_sops = tuple(
-        replace(coupling, source=eig.to_energy_basis(J)) for J in ops.j_ops
-    )
-    first, second = _resonant_quadruples(spectrum)
-    return JDEngine(
-        bond_currents=bond_sops,
-        coupling=coupling,
-        gplus=gplus,
-        spectrum=spectrum,
-        first_index=first,
-        second_index=second,
-    )
+    currents = eig.to_energy_basis(np.array(ops.j_ops))
+    currents.flags.writeable = False
+    observables = _observables(coupling, currents, gplus)
+    observables.flags.writeable = False
+    return JDEngine(coupling=coupling, currents=currents, observables=observables)
 
 
 def _chain_coefficient(wJ, w1, w2, wr, g2, tol):
@@ -200,7 +198,9 @@ def _chain_coefficient(wJ, w1, w2, wr, g2, tol):
     return 1j * g2 / np.where(nonsingular, wJ, 1.0) * sign
 
 
-def jd_observables(engine: JDEngine) -> np.ndarray:
+def _observables(
+    coupling: SpectralOperator, currents: np.ndarray, gplus: HalfFourierTable
+) -> np.ndarray:
     """Site-basis Hermitian matrices O_b with tr(rho O_b) = jd_expectation.
 
     Every energy-basis entry (i, j) of an operator lies in the single bin
@@ -216,33 +216,33 @@ def jd_observables(engine: JDEngine) -> np.ndarray:
     where the two selection rules hold elementwise, with w_2 = W2_kl and
     w_rho = W_li: F1 is |w_J| > tol, |w_J + w_1 - w_2| <= tol, |w_rho| <= tol;
     F2 is |w_J| > tol, |w_1 - w_2| <= tol, |w_J + w_rho| <= tol.  Then
-    O_b = U (A_b + A_b^dag) U^dag.  Returns an (N-1, N, N) stack.
+    O_b = U (A_b + A_b^dag) U^dag.  Takes and returns (N-1, N, N) stacks,
+    the energy-basis J_b (binned by coupling's labels) and O_b.
     """
-    spectrum = engine.spectrum
+    spectrum = coupling.spectrum
     w = spectrum.frequencies
     tol = spectrum.bin_tolerance
-    L = engine.coupling.labels
+    L = coupling.labels
     mirror = spectrum.nearest(-w)
     found = np.abs(w[mirror] + w) <= tol
     w2 = np.where(found, w[mirror], np.nan)
     g2 = np.zeros(len(w), dtype=complex)
-    g2[found] = engine.gplus.value_at(w2[found], tol)
+    g2[found] = gplus.value_at(w2[found], tol)
     W, W2, G2 = w[L], w2[L][None, None], g2[L][None, None]
     Wli = W.T[:, None, None, :]
     T1 = _chain_coefficient(W[None, :, :, None], W[:, :, None, None], W2, Wli, G2, tol)
     T2 = _chain_coefficient(W[:, :, None, None], W[None, :, :, None], W2, Wli, G2, tol)
-    V = engine.coupling.source
-    J = np.stack([s.source for s in engine.bond_currents])
-    A = np.einsum("ij,kl,ijkl,bjk->bil", V, V, T1, J, optimize=True)
-    A -= np.einsum("jk,kl,ijkl,bij->bil", V, V, T2, J, optimize=True)
-    U = engine.coupling.eig.basis
+    V = coupling.source
+    A = np.einsum("ij,kl,ijkl,bjk->bil", V, V, T1, currents, optimize=True)
+    A -= np.einsum("jk,kl,ijkl,bij->bil", V, V, T2, currents, optimize=True)
+    U = coupling.eig.basis
     return U @ (A + A.conj().transpose(0, 2, 1)) @ U.conj().T
 
 
 def jd_expectation(engine: JDEngine, rho: np.ndarray) -> np.ndarray:
     """Per-bond correction current of a Hermitian state: tr(rho O_b).
 
-    O_b is the closed-form stack of jd_observables, the resonant spectral
+    O_b is the closed-form stack engine.observables, the resonant spectral
     sum (i / w_J) gplus(w_2) tr[J_{w_J} (V_{w_2}^dag rho_{w_rho} V_{w_1}
     - V_{w_1} V_{w_2}^dag rho_{w_rho})] over both families (the first
     adds, the second subtracts) plus its Hermitian conjugate.  Defined for
@@ -252,14 +252,15 @@ def jd_expectation(engine: JDEngine, rho: np.ndarray) -> np.ndarray:
     N = engine.dimension
     if rho.shape != (N, N):
         raise DimensionMismatch(f"state shape {rho.shape} vs dimension {N}")
-    return np.einsum("bij,ji->b", jd_observables(engine), rho).real
+    return np.einsum("bij,ji->b", engine.observables, rho).real
 
 
 def jd_observable(engine: JDEngine, bond: int) -> np.ndarray:
-    """The correction current of one bond as a Hermitian observable."""
+    """The correction current of one bond as a Hermitian observable, a copy
+    of engine.observables[bond]."""
     if not 0 <= bond < engine.n_bonds:
         raise IndexOutOfRange(f"bond {bond} not in [0, {engine.n_bonds})")
-    return jd_observables(engine)[bond]
+    return engine.observables[bond].copy()
 
 
 def lstar_density(G: LindbladGenerator, ops: LatticeOperators) -> list:
@@ -303,7 +304,6 @@ def jd_finite_time_oracle(
     rho: np.ndarray,
     t: float | np.ndarray,
     dt: float,
-    include_zero_mode: bool = False,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Correction current from a direct finite-window time average.
 
@@ -314,13 +314,11 @@ def jd_finite_time_oracle(
 
     with V_s the interaction-picture coupling and Z_b the bond current's
     phase-integrated spectral sum, Z_b(s) = sum_{w != 0} J_w
-    (exp(i w s) - 1)/(i w), plus the s-linear zero-bin term only when
-    include_zero_mode is set.  Each energy-basis entry of J_b carries the
+    (exp(i w s) - 1)/(i w).  Each energy-basis entry of J_b carries the
     phase factor of its own bin (decompose's labels; no selection rule
     enters).  The inner integral is triangle_convolution's per-bin running
     trapezoid, and the window is walked in the chunks of sampled_window.
-    With the flag off the values approach jd_expectation as t grows, with a
-    1/t envelope.
+    The values approach jd_expectation as t grows, with a 1/t envelope.
 
     The integrand is evaluated in sampled_window's rotating frame.  With
     P = diag(u_s), V_s = P V conj(P) and C_s = P R_s conj(P) (R_s from
@@ -377,7 +375,6 @@ def jd_finite_time_oracle(
     entry_nonzero = nonzero[coupling.labels].T
     inv_iw = np.zeros((N, N), dtype=complex)
     inv_iw[entry_nonzero] = 1.0 / (1j * freqs[coupling.labels].T[entry_nonzero])
-    zero_entries = ~entry_nonzero
     totals = np.empty((len(ends), N - 1), dtype=complex)
     running = np.zeros(N - 1, dtype=complex)  # integrand summed over the samples walked
     head = None  # the integrand at s = 0
@@ -413,8 +410,6 @@ def jd_finite_time_oracle(
         Y -= R
         R[...] = inv_iw[:, :, None]
         Y *= R
-        if include_zero_mode:
-            Y[zero_entries] = (u * s)[np.nonzero(zero_entries)[0]]
         E *= Y
         # R and then Y are free: the integrand and its running sums
         integrand = R_buf[: (N - 1) * S].reshape(N - 1, S)
@@ -443,13 +438,12 @@ def divergence_identity_check(
 ) -> float:
     """Max Frobenius deviation of the conservation identity, over sites.
 
-    Assembles every bond observable, forms the site-wise divergence
-    matrices, and measures how far they are from cancelling the source
-    matrices.  Zero (to rounding) is the module's central theorem; callers
-    threshold the returned number.
+    Forms the site-wise divergence matrices of the bond observables
+    engine.observables and measures how far they are from cancelling the
+    source matrices.  Zero (to rounding) is the module's central theorem;
+    callers threshold the returned number.
     """
-    obs = jd_observables(engine)
-    div = discrete_divergence(list(obs))
+    div = discrete_divergence(list(engine.observables))
     sources = lstar_density(G, ops)
     return max(
         float(np.linalg.norm(d + L)) for d, L in zip(div, sources)
@@ -461,9 +455,9 @@ def continuity_columns(
 ):
     """The continuity report of any stack of states, as a function.
 
-    The fixed observables are built once: the N - 1 bond currents, the N
+    The fixed observables are stacked once: the N - 1 bond currents, the N
     source matrices of lstar_density and the N - 1 correction-current
-    observables of jd_observables, stacked as the (N^2, 3N - 2) columns of
+    observables engine.observables, as the (N^2, 3N - 2) columns of
     X, each observable transposed, so that a state flattened to a row of
     N^2 entries times X holds all of its traces tr(rho O_b).  The returned
     columns(times, states) maps (k,) times and a (k, N, N) stack of states
@@ -476,7 +470,7 @@ def continuity_columns(
     """
     N = ops.n_sites
     observables = np.concatenate(
-        [np.array(ops.j_ops), np.array(lstar_density(G, ops)), jd_observables(engine)]
+        [np.array(ops.j_ops), np.array(lstar_density(G, ops)), engine.observables]
     )
     X = observables.transpose(0, 2, 1).reshape(len(observables), N * N).T
 

@@ -461,7 +461,8 @@ def evolve(
     one (n_steps + 1, N, N) float array allocated up front: 8 N^2 bytes a
     state, and reading a state back gives its complex matrix bit for bit.
     Besides the stored states, memory is O(c sum of m^2): the power
-    tables, at most CHUNK_BYTES, and a few (c, N, N) stacks.
+    tables, at most CHUNK_BYTES, and at most four (c, N, N) complex
+    stacks, two of them reused from chunk to chunk.
 
     With consumer set, nothing is stored: consumer(times, states) is
     called with each chunk in turn, first the (1, N, N) initial state,
@@ -521,9 +522,12 @@ def evolve(
     U = G.eig.basis
     herm_defects = [np.zeros(1)]
     trace_defects = [np.zeros(1)]
+    # one chunk's two stacks, reused: x is copied out before they are refilled
+    raw_buf = np.empty((c, N * N), dtype=complex)
+    other_buf = np.empty_like(raw_buf)
     for first in range(1, n_steps + 1, c):
         size = min(c, n_steps + 1 - first)
-        raw = np.empty((size, N * N), dtype=complex)
+        raw = raw_buf[:size]
         for part, table in tables:
             count, m = table.shape[1:3]
             if m == 1:  # 1 x 1 blocks scale their entries
@@ -535,21 +539,20 @@ def evolve(
         # twice the Hermitian part, then one division for both the halving
         # and the trace; dividing the real view by the real trace rounds as
         # a complex division by it does
-        mirrored = raw[:, mirror].conj()
-        done = raw + mirrored
+        mirrored = np.take(raw, mirror, axis=1, out=other_buf[:size], mode="clip")
+        np.conjugate(mirrored, out=mirrored)
+        herm_defects.append(np.max(np.abs(raw - mirrored), axis=1))
+        done = np.add(raw, mirrored, out=raw)
         traces = done[:, diagonal].real.sum(axis=1)
         np.divide(done.view(float), traces[:, None], out=done.view(float))
-        herm_defects.append(np.max(np.abs(raw - mirrored), axis=1))
         trace_defects.append(np.abs(traces / 2.0 - 1.0))
-        x = done[-1]
-        energy = np.empty_like(done)
-        energy[:, order] = done
+        x = done[-1].copy()
+        energy = np.take(done, where, axis=1, out=mirrored, mode="clip")
         energy = energy.reshape(size, N, N)
         _guard_positivity(energy, first, h)
-        site = U @ energy @ U.conj().T
-        consumer(
-            times[first : first + size], (site + site.conj().transpose(0, 2, 1)) / 2.0
-        )
+        site = np.matmul(U @ energy, U.conj().T, out=raw.reshape(size, N, N))
+        adjoint = np.conjugate(site.transpose(0, 2, 1), out=energy)
+        consumer(times[first : first + size], (site + adjoint) / 2.0)
     herm_defects = np.concatenate(herm_defects)
     trace_defects = np.concatenate(trace_defects)
     logger.debug(

@@ -65,8 +65,9 @@ class BohrSpectrum:
 def bohr_frequencies(eig: EigenSystem, freq_tol: float) -> BohrSpectrum:
     """Cluster all pairwise energy differences into frequency bins.
 
-    Greedy sorted sweep: a new cluster starts whenever the gap to the
-    previous difference exceeds a linkage of freq_tol/4.  The tighter
+    Sorted sweep: a new cluster starts wherever the gap to the previous
+    difference exceeds a linkage of freq_tol/4, and each center is the
+    mean of its cluster (one reduceat over the starts).  The tighter
     linkage keeps genuinely distinct transition frequencies in separate
     clusters, so an oversized freq_tol shows up as two centers closer
     than freq_tol instead of being silently merged away.  Cluster
@@ -82,13 +83,9 @@ def bohr_frequencies(eig: EigenSystem, freq_tol: float) -> BohrSpectrum:
     w = eig.energies
     diffs = np.sort((w[:, None] - w[None, :]).ravel())
     linkage = freq_tol / 4.0
-    centers = []
-    start = 0
-    for i in range(1, len(diffs) + 1):
-        if i == len(diffs) or diffs[i] - diffs[i - 1] > linkage:
-            centers.append(float(np.mean(diffs[start:i])))
-            start = i
-    centers = np.array(centers)
+    starts = np.flatnonzero(np.diff(diffs, prepend=-np.inf) > linkage)
+    counts = np.diff(starts, append=len(diffs))
+    centers = np.add.reduceat(diffs, starts) / counts
     # enforce exact negation symmetry (the raw difference set is symmetric,
     # so clusters pair up; average each with its mirror)
     centers = (centers - centers[::-1]) / 2.0

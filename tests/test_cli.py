@@ -201,6 +201,30 @@ def test_verify_oracle_rejects_flat_noise(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("suite", ["oracle", "prelindblad", "all"])
+def test_verify_rejects_flat_noise_before_building(tmp_path, capsys, monkeypatch, suite):
+    """A white bath ends a pointwise suite with exit 3 before the workbench
+    is built, so a model too large to build is refused the same way."""
+    cfg = _config(
+        tmp_path,
+        {
+            "model": {"n_sites": 2, "hopping": 5.0, "coupling": [1.0, -1.0]},
+            "bath": {"type": "white", "gamma": 0.2},
+        },
+    )
+
+    def exhaust(cfg):
+        raise MemoryError("Unable to allocate 1.27 GiB for an array")
+
+    monkeypatch.setattr(cli, "build_workbench", exhaust)
+    assert main(["verify", "--config", cfg, "--suite", suite]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "ERROR suite requires a pointwise-evaluable bath kernel; white noise has none"
+    ]
+    assert captured.out == ""
+
+
 def _uniform_chain(coupling):
     """The zero-potential four-site chain of the uniform verify workload."""
     return {
@@ -270,6 +294,38 @@ def test_verify_walks_each_finite_window_ladder_once(tmp_path, monkeypatch):
     n_longest = math.ceil(longest / cli._oracle_quadrature_dt(wb))
     assert longest == max(cli.PRELINDBLAD_LADDER) / wb.kernel.kappa
     assert samples == n_longest + 1
+
+
+def test_verify_builds_the_jd_observables_once(tmp_path, monkeypatch, capsys):
+    """The three checks that read O_b (the spectral expectation, the
+    divergence identity and the continuity columns) share the stack that
+    build_engine forms."""
+    calls = []
+    observables = current._observables
+
+    def spy(*args):
+        calls.append(1)
+        return observables(*args)
+
+    monkeypatch.setattr(current, "_observables", spy)
+    cfg = parse_config(_config(tmp_path, _uniform_chain([0.3, -0.8, 0.5, 0.9])))
+    cli.run_verify(cfg, "all")
+    assert "CHECK divergence_identity" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "steady"])
+def test_tables_never_form_the_resonance_index(tmp_path, monkeypatch, command):
+    """simulate and steady read the engine's observables only; the
+    resonance index is formed on access, off their path."""
+
+    def refuse(spectrum):
+        raise AssertionError("the resonance index was formed")
+
+    monkeypatch.setattr(current, "_resonant_quadruples", refuse)
+    payload = _reference_payload()
+    payload["model"]["coupling"] = [0.7, -1.1, 0.4, 0.9]  # a unique steady state
+    assert main([command, "--config", _config(tmp_path, payload)]) == 0
 
 
 def test_verify_all_peaks_within_three_chunk_budgets(tmp_path, capsys):

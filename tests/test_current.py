@@ -25,7 +25,7 @@ from lindcur import (
     jd_observable,
     lstar_density,
 )
-from lindcur.current import _resonant_quadruples, jd_observables
+from lindcur.current import _observables, _resonant_quadruples
 from lindcur.lattice import ChainSpec, build_chain
 from lindcur.reservoir import resolution_bound
 
@@ -64,11 +64,21 @@ def test_constraint_sets_satisfy_their_selection_rules(ref4):
 
 def test_engine_operators_share_the_coupling_labels(asym4):
     engine = asym4.engine
-    for J, bond in zip(asym4.ops.j_ops, engine.bond_currents):
+    assert len(engine.currents) == len(asym4.ops.j_ops)
+    for J, current in zip(asym4.ops.j_ops, engine.currents):
         alone = decompose(J, asym4.eig, asym4.spectrum)
-        assert np.array_equal(bond.labels, alone.labels)
-        assert np.array_equal(bond.source, alone.source)
-        assert bond.labels is engine.coupling.labels
+        assert np.array_equal(engine.coupling.labels, alone.labels)
+        assert np.array_equal(current, alone.source)
+
+
+def test_engine_arrays_are_read_only(ref4):
+    engine = ref4.engine
+    for array in (engine.currents, engine.observables):
+        with pytest.raises(ValueError):
+            array[0, 0, 0] = 1.0
+    O = jd_observable(engine, 0)
+    O[...] = 0.0
+    assert np.any(engine.observables[0])
 
 
 def test_two_level_first_set_contains_expected_quadruple(two_level):
@@ -119,7 +129,7 @@ def test_expectation_is_linear(ref4, rng):
 
 
 def test_observable_reproduces_expectation(ref4, rng):
-    stack = jd_observables(ref4.engine)
+    stack = ref4.engine.observables
     assert stack.shape == (3, 4, 4)
     for _ in range(50):
         rho = random_density(rng, 4)
@@ -150,12 +160,11 @@ def test_observable_bond_bounds(ref4):
 def test_expectation_depends_only_on_its_bond(ref4, rng):
     rho = random_density(rng, 4)
     base = jd_expectation(ref4.engine, rho)
-    doubled = dataclasses.replace(
-        ref4.engine.bond_currents[2],
-        source=2.0 * ref4.engine.bond_currents[2].source,
-    )
+    currents = ref4.engine.currents.copy()
+    currents[2] *= 2.0
     perturbed = dataclasses.replace(
-        ref4.engine, bond_currents=ref4.engine.bond_currents[:2] + (doubled,)
+        ref4.engine,
+        observables=_observables(ref4.engine.coupling, currents, ref4.gplus),
     )
     after = jd_expectation(perturbed, rho)
     np.testing.assert_allclose(after[:2], base[:2], atol=1e-15)
@@ -243,15 +252,6 @@ def test_oracle_assembled_observable(two_level):
     assert np.max(np.abs(O - target)) <= 0.05 * np.max(np.abs(target))
 
 
-def test_oracle_zero_mode_flag_is_inert_on_chains(two_level):
-    rho = _two_level_state(two_level.eig)
-    dt = min(1.0, np.pi / 10.0) / 80.0
-    args = (two_level.ops, two_level.eig, two_level.spectrum, two_level.kernel, rho, 5.0, dt)
-    off = jd_finite_time_oracle(*args, include_zero_mode=False)
-    on = jd_finite_time_oracle(*args, include_zero_mode=True)
-    np.testing.assert_allclose(on, off, atol=1e-15)
-
-
 def test_oracle_input_guards(two_level):
     rho = _two_level_state(two_level.eig)
     args = (two_level.ops, two_level.eig, two_level.spectrum)
@@ -286,7 +286,7 @@ def test_divergence_identity_zero_dissipator():
 
 
 def test_observable_divergence_cancels_sources(ref4):
-    stack = jd_observables(ref4.engine)
+    stack = ref4.engine.observables
     sources = lstar_density(ref4.generator, ref4.ops)
     div = discrete_divergence(list(stack))
     for r in range(4):
@@ -317,7 +317,7 @@ def test_continuity_report_matches_per_state_loop(asym4):
     traj = evolve(G, _site_projector(4), 1.0, 0.01)
     report = continuity_report(G, ops, asym4.engine, traj)
     sources = lstar_density(G, ops)
-    obs = jd_observables(asym4.engine)
+    obs = asym4.engine.observables
     np.testing.assert_array_equal(report.times, traj.times)
     for t, rho in enumerate(traj.states):
         currents = np.array([np.trace(rho @ J).real for J in ops.j_ops])
@@ -381,33 +381,36 @@ def _meshgrid_quadruples(spectrum):
     return np.argwhere(first), np.argwhere(second)
 
 
-def _family_sum(engine, rho_comps, index):
+def _family_sum(bundle, rho_comps, index):
     """Complex per-bond sum over one quadruple family, for a stack of states.
 
     rho_comps has shape (states, bins, N, N); the loop runs over quadruples.
     """
-    w = engine.spectrum.frequencies
-    tol = engine.spectrum.bin_tolerance
+    engine, spectrum = bundle.engine, bundle.spectrum
+    w = spectrum.frequencies
+    tol = spectrum.bin_tolerance
     V = components(engine.coupling)
-    J_stack = np.stack([components(s) for s in engine.bond_currents])
+    bonds = [dataclasses.replace(engine.coupling, source=J) for J in engine.currents]
+    J_stack = np.stack([components(bond) for bond in bonds])
     total = np.zeros((len(rho_comps), engine.n_bonds), dtype=complex)
     for aJ, a1, a2, ar in index:
-        a2dag = engine.spectrum.index_of(-w[a2])
+        a2dag = spectrum.index_of(-w[a2])
         if a2dag is None:
             continue
         Vdag = V[a2dag]
         V1 = V[a1]
         P = rho_comps[:, ar]
-        coeff = 1j * engine.gplus.value_at(w[a2], tol) / w[aJ]
+        coeff = 1j * bundle.gplus.value_at(w[a2], tol) / w[aJ]
         M = Vdag @ P @ V1 - V1 @ Vdag @ P
         total += coeff * np.einsum("bij,sji->sb", J_stack[:, aJ], M)
     return total
 
 
-def _probe_observables(engine):
+def _probe_observables(bundle):
     """O_b read off the quadruple sum on the N^2 Hermitian unit probes."""
+    engine = bundle.engine
     N = engine.dimension
-    eig, spectrum = engine.coupling.eig, engine.spectrum
+    eig, spectrum = bundle.eig, bundle.spectrum
     first, second = _meshgrid_quadruples(spectrum)
     units = np.eye(N * N, dtype=complex).reshape(N * N, N, N)
     pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
@@ -417,7 +420,7 @@ def _probe_observables(engine):
         probes.append(1j * (units[i * N + j] - units[j * N + i]))
     comps = np.stack([components(decompose(p, eig, spectrum)) for p in probes])
     values = 2.0 * (
-        _family_sum(engine, comps, first) - _family_sum(engine, comps, second)
+        _family_sum(bundle, comps, first) - _family_sum(bundle, comps, second)
     ).real
     obs = np.zeros((engine.n_bonds, N, N), dtype=complex)
     for i in range(N):
@@ -432,8 +435,8 @@ def _probe_observables(engine):
 @PROPERTY_SETTINGS
 @given(chain_models())
 def test_closed_form_matches_quadruple_sum(bundle):
-    reference = _probe_observables(bundle.engine)
-    stack = jd_observables(bundle.engine)
+    reference = _probe_observables(bundle)
+    stack = bundle.engine.observables
     tol = 1e-13 * np.max(np.abs(reference)) + 1e-16
     assert np.max(np.abs(stack - reference)) <= tol
 
@@ -489,7 +492,7 @@ def test_sixteen_site_chain_is_reachable():
     """The bins^4 masks made N = 16 unbuildable; the sorted index does not."""
     rng = np.random.default_rng(16)
     bundle = make_bundle(16, rng.uniform(-1.0, 1.0, 16), potential=rng.normal(0.0, 0.3, 16))
-    assert jd_observables(bundle.engine).shape == (15, 16, 16)
+    assert bundle.engine.observables.shape == (15, 16, 16)
     sources = lstar_density(bundle.generator, bundle.ops)
     scale = max(np.linalg.norm(L) for L in sources)
     dev = divergence_identity_check(bundle.engine, bundle.generator, bundle.ops)

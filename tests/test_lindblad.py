@@ -37,7 +37,6 @@ from lindcur import (
     superop_adjoint,
 )
 from lindcur import lindblad
-from lindcur.current import jd_observables
 from lindcur.linalg import unvec, vec
 from lindcur.lindblad import KERNEL_CUTOFF, _block_runs
 from lindcur.reservoir import resolution_bound
@@ -132,7 +131,7 @@ def test_one_bin_spectrum(case):
     np.testing.assert_array_equal(V.labels, np.zeros((4, 4), dtype=int))
     np.testing.assert_array_equal(V.component(0), V.source)
     assert bundle.engine.first_index.shape == bundle.engine.second_index.shape == (0, 4)
-    assert not np.any(jd_observables(bundle.engine))
+    assert not np.any(bundle.engine.observables)
     reference = _per_bin_dissipator(V, bundle.gplus, bundle.eig)
     diss = bundle.generator.dissipator.matrix
     assert np.max(np.abs(diss - reference)) <= 1e-13 * np.max(np.abs(reference))
@@ -532,6 +531,32 @@ def test_stored_states_take_n_squared_reals_each():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * N * N * (T + 1) + lindblad.CHUNK_BYTES + 5 * 8 * (T + 1)
+
+
+def test_streamed_evolve_holds_one_chunk_at_a_time():
+    """A streamed evolve at N = 20 (c = 64 states a chunk) peaks within its
+    power tables plus four (c, N, N) complex stacks: two buffers reused
+    from chunk to chunk and two temporaries at a time, so nothing of a
+    chunk is held while the next is stepped."""
+    N = 20
+    rng = np.random.default_rng(N)
+    bundle = make_bundle(N, rng.uniform(-1.0, 1.0, N), potential=rng.normal(0.0, 0.3, N))
+    G = bundle.generator
+    entries = sum(B.size for B in G.blocks)
+    c = min(lindblad.POSITIVITY_CHUNK, max(1, lindblad.CHUNK_BYTES // (16 * entries)))
+    assert c == 64
+    T = 4 * c + 7  # four whole chunks and a short one
+    tracemalloc.start()
+    try:
+        evolve(G, _site_state(N), T * 0.01, 0.01, lambda times, states: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = 16 * c * entries
+    stack = 16 * c * N * N
+    # a quarter stack for the O(c N) and O(N^2) arrays beside them: the
+    # last block product, the gather indices, the times and the logs
+    assert peak <= tables + 4 * stack + stack // 4
 
 
 def test_evolve_commuting_state_is_constant():

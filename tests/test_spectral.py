@@ -224,3 +224,56 @@ def test_binning_collides_or_matches_argmin_labels(case):
     labels = decompose(np.eye(len(energies)), eig, spectrum).labels
     np.testing.assert_array_equal(labels, _argmin_nearest(spectrum.frequencies, gaps))
     assert np.max(np.abs(gaps - spectrum.frequencies[labels])) <= tol
+
+
+# -- the cluster centres against the per-cluster loop they replaced ------------
+
+
+def _loop_centres(eig, freq_tol):
+    """bohr_frequencies' centres as first written: a loop over clusters."""
+    w = eig.energies
+    diffs = np.sort((w[:, None] - w[None, :]).ravel())
+    linkage = freq_tol / 4.0
+    centers = []
+    start = 0
+    for i in range(1, len(diffs) + 1):
+        if i == len(diffs) or diffs[i] - diffs[i - 1] > linkage:
+            centers.append(float(np.mean(diffs[start:i])))
+            start = i
+    centers = np.array(centers)
+    return (centers - centers[::-1]) / 2.0
+
+
+def _assert_same_centres(eig, tol):
+    want = _loop_centres(eig, tol)
+    try:
+        got = bohr_frequencies(eig, tol).frequencies
+    except BinCollision:
+        # the collision checks read the centres, so the loop's would collide too
+        if len(want) > 1 and np.all(np.diff(want) > tol):
+            gaps = eig.energies[:, None] - eig.energies[None, :]
+            nearest = BohrSpectrum(want, tol).nearest(gaps)
+            assert np.max(np.abs(gaps - want[nearest])) > tol
+        return
+    assert got.tobytes() == want.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(near_tolerance_spectra())
+def test_cluster_centres_match_the_loop_near_tolerance(case):
+    energies, tol = case
+    _assert_same_centres(_eig(energies), tol)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 19, 32, 64])
+@pytest.mark.parametrize("potential", ["zero", "random", "mirror"])
+def test_cluster_centres_match_the_loop_on_chains(n, potential):
+    """Chains with many equal gaps (zero and mirror potentials put up to n
+    differences in one cluster) and generic ones, bit for bit."""
+    rng = np.random.default_rng(n)
+    p = rng.normal(0.0, 0.3, n)
+    p = {"zero": np.zeros(n), "random": p, "mirror": (p + p[::-1]) / 2.0}[potential]
+    h = np.diag(p) - np.eye(n, k=1) - np.eye(n, k=-1)
+    eig = hermitian_eigensystem(h.astype(complex))
+    _assert_same_centres(eig, default_freq_tol(eig))
+    _assert_same_centres(_eig(np.arange(n) * 0.5), 1e-9)  # an equally spaced ladder
