@@ -239,13 +239,6 @@ def _write_rows(fh, prec, times, columns) -> None:
         fh.write(rows[rows != 0])
 
 
-def _write_table(path, header, prec, times, columns) -> None:
-    """One whole CSV: the header, then _write_rows of the columns."""
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        _write_rows(fh, prec, times, columns)
-
-
 def _write_csvs(files, prec, report: ContinuityReport) -> None:
     """The rows of one block's report, appended to the open density and
     currents tables."""

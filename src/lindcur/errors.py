@@ -33,10 +33,6 @@ class PointwiseUndefined(LindcurError):
     """The kernel has no pointwise value (delta-correlated noise)."""
 
 
-class OutOfRange(LindcurError):
-    """Evaluation point lies outside the tabulated sample range."""
-
-
 class MissingFrequency(LindcurError):
     """The half-Fourier table does not cover a required frequency."""
 

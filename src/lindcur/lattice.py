@@ -57,10 +57,6 @@ class LatticeOperators:
     def n_sites(self) -> int:
         return self.chain.n_sites
 
-    @property
-    def n_bonds(self) -> int:
-        return self.chain.n_sites - 1
-
 
 def build_chain(spec: ChainSpec) -> LatticeOperators:
     """Assemble H, the site projectors, the bond currents, and V."""

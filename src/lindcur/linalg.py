@@ -1,8 +1,7 @@
 """Dense complex-matrix primitives.
 
-Hermitian eigendecomposition with a reproducible phase convention,
-superoperators as matrices acting on column-stacked operators, and the
-superoperator adjoint under the trace pairing tr(A . S(B)).
+Hermitian eigendecomposition with a reproducible phase convention, and the
+record of a superoperator's N^2 x N^2 matrix.
 """
 from __future__ import annotations
 
@@ -13,16 +12,6 @@ import numpy as np
 from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 HERMITICITY_TOL = 1e-10
-
-
-def vec(X: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix (Fortran order)."""
-    return X.reshape(-1, order="F")
-
-
-def unvec(x: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    return x.reshape((n, n), order="F")
 
 
 @dataclass(frozen=True)
@@ -91,29 +80,9 @@ def hermitian_eigensystem(M: np.ndarray) -> EigenSystem:
 class SuperOperator:
     """A linear map on N x N matrices, stored as an N^2 x N^2 matrix.
 
-    The matrix acts on column-stacked operands: vec(S(X)) = matrix @ vec(X).
+    The matrix acts on column-stacked operands: with x = X.reshape(-1,
+    order="F"), the image of X is (matrix @ x).reshape(N, N, order="F").
     """
 
     dimension: int
     matrix: np.ndarray
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=complex)
-        if X.shape != (self.dimension, self.dimension):
-            raise DimensionMismatch(
-                f"operand shape {X.shape} does not match dimension {self.dimension}"
-            )
-        return unvec(self.matrix @ vec(X), self.dimension)
-
-
-def superop_adjoint(S: SuperOperator) -> SuperOperator:
-    """Adjoint under the trace pairing: tr(A . S(B)) = tr(adjoint(S)(A) . B).
-
-    Note this pairing carries no complex conjugation, so the adjoint matrix
-    is T @ S.T @ T with T the transpose permutation, and the double adjoint
-    is the identity exactly.  That product is an index permutation of the
-    matrix viewed as an (N, N, N, N) array, computed here without forming T.
-    """
-    N = S.dimension
-    adj = S.matrix.reshape(N, N, N, N).transpose(3, 2, 1, 0).reshape(N * N, N * N)
-    return SuperOperator(N, adj)

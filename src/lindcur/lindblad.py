@@ -35,7 +35,7 @@ from .errors import (
     PositivityViolation,
     StepTooCoarse,
 )
-from .linalg import EigenSystem, SuperOperator, superop_adjoint
+from .linalg import EigenSystem, SuperOperator
 from .reservoir import (
     CorrelationKernel,
     HalfFourierTable,
@@ -43,7 +43,7 @@ from .reservoir import (
     resolution_bound,
     sample_kernel,
 )
-from .spectral import BohrSpectrum, SpectralOperator
+from .spectral import SpectralOperator
 
 logger = logging.getLogger(__name__)
 
@@ -69,17 +69,20 @@ class LindbladGenerator:
     (count, m, m) stacks, one per block size m in ascending order, that
     take consecutive runs of block_order.  Entry [b, r, c] of a stack is
     the coefficient of the state's entry at the block's c-th position in
-    the image's entry at its r-th position.  _block_runs adds the coherent
-    part.  full_matrix() and the three SuperOperator properties are dense
-    site-basis views, formed on each access; no library path reads them.
+    the image's entry at its r-th position.  These three fields are all it
+    holds; dimension is eig's.  _block_runs adds the coherent part.
+    full_matrix() and the three SuperOperator properties are dense
+    site-basis views on column-stacked operators, formed on each access;
+    no library path reads them.
     """
 
-    dimension: int
-    frequencies_used: BohrSpectrum
-    gplus_used: HalfFourierTable
     eig: EigenSystem = field(repr=False)
     block_order: np.ndarray = field(repr=False)
     blocks: tuple = field(repr=False)
+
+    @property
+    def dimension(self) -> int:
+        return self.eig.dimension
 
     def full_matrix(self) -> np.ndarray:
         return _dense(self.apply_full, self.dimension).matrix
@@ -91,7 +94,11 @@ class LindbladGenerator:
 
     @property
     def dissipator(self) -> SuperOperator:
-        return superop_adjoint(self.dissipator_adjoint)
+        # the adjoint under tr(A . S(B)), no conjugation: T S^T T with T the
+        # transpose permutation, an index permutation of the (N, N, N, N) view
+        N = self.dimension
+        adj = self.dissipator_adjoint.matrix.reshape(N, N, N, N)
+        return SuperOperator(N, adj.transpose(3, 2, 1, 0).reshape(N * N, N * N))
 
     @property
     def dissipator_adjoint(self) -> SuperOperator:
@@ -224,14 +231,7 @@ def build_generator(
         "ikm,im,km->ik", same_bin, rates[V.labels] * V.source, V.source.conj()
     )
     block_order, blocks = _bohr_blocks(V, rates, K)
-    return LindbladGenerator(
-        dimension=H.dimension,
-        frequencies_used=spectrum,
-        gplus_used=gplus,
-        eig=H,
-        block_order=block_order,
-        blocks=blocks,
-    )
+    return LindbladGenerator(eig=H, block_order=block_order, blocks=blocks)
 
 
 def _same_label_pairs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -404,16 +404,23 @@ def _expm(M: np.ndarray, h: float) -> np.ndarray:
     return P
 
 
-def _guard_positivity(chunk: np.ndarray, first: int, h: float) -> None:
+def _guard_positivity(
+    chunk: np.ndarray, first: int, h: float, work: np.ndarray
+) -> None:
     """Raise PositivityLost for the earliest chunk[i], the stored state
     first + i, whose lowest eigenvalue is below POSITIVITY_FLOOR.
 
     One batched Cholesky factorisation of chunk - POSITIVITY_FLOOR I
     certifies every state of the chunk at once; eigvalsh runs only for a
-    chunk that it rejects, and decides which state, if any, is bad.
+    chunk that it rejects, and decides which state, if any, is bad.  The
+    shifted chunk is formed in work, a free complex array of chunk's shape,
+    and chunk is left as it is.
     """
+    diag = np.arange(chunk.shape[-1])
+    np.copyto(work, chunk)
+    work[:, diag, diag] -= POSITIVITY_FLOOR
     try:
-        np.linalg.cholesky(chunk - POSITIVITY_FLOOR * np.eye(chunk.shape[-1]))
+        np.linalg.cholesky(work)
     except np.linalg.LinAlgError:
         lows = np.linalg.eigvalsh(chunk).min(axis=1)
         bad = np.flatnonzero(lows < POSITIVITY_FLOOR)
@@ -549,7 +556,8 @@ def evolve(
         x = done[-1].copy()
         energy = np.take(done, where, axis=1, out=mirrored, mode="clip")
         energy = energy.reshape(size, N, N)
-        _guard_positivity(energy, first, h)
+        # raw is free: x is copied out and energy is in the other buffer
+        _guard_positivity(energy, first, h, raw.reshape(size, N, N))
         site = np.matmul(U @ energy, U.conj().T, out=raw.reshape(size, N, N))
         adjoint = np.conjugate(site.transpose(0, 2, 1), out=energy)
         consumer(times[first : first + size], (site + adjoint) / 2.0)
@@ -842,10 +850,10 @@ def pre_lindblad_generator(V: SpectralOperator, k: CorrelationKernel, delta, dt:
     integrand does not depend on the window length, so the longest window
     is walked once and each window is read off the running sum at the grid
     point nearest its length, divided by the length it integrates.  For a
-    scalar delta returns one SuperOperator; for an array returns (lengths,
-    maps): the window lengths used, shape (T,), and the site-basis
-    matrices, shape (T, N^2, N^2).  The input checks of sampled_window
-    apply.
+    scalar delta returns one site-basis N^2 x N^2 matrix on column-stacked
+    operators; for an array returns (lengths, maps): the window lengths
+    used, shape (T,), and such matrices, shape (T, N^2, N^2).  The input
+    checks of sampled_window apply.
     """
     h, ends, chunks = sampled_window(V, k, delta, dt, 11)
     N = V.eig.dimension
@@ -921,5 +929,5 @@ def pre_lindblad_generator(V: SpectralOperator, k: CorrelationKernel, delta, dt:
         raw = raw.reshape(N, N, N, N).transpose(1, 2, 0, 3).reshape(N * N, N * N)
         snapshots[q] = K @ (raw / lengths[q]) @ K.conj().T
     if np.ndim(delta) == 0:
-        return SuperOperator(N, snapshots[0])
+        return snapshots[0]
     return lengths, snapshots

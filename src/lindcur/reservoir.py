@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingFrequency, OutOfRange, PointwiseUndefined
+from .errors import MissingFrequency, PointwiseUndefined
 from .spectral import BohrSpectrum
 
 logger = logging.getLogger(__name__)
@@ -54,9 +54,9 @@ class WhiteNoise:
 class Tabulated:
     """Sampled kernel with finite samples on an ascending grid starting at 0.
 
-    Pointwise evaluation interpolates linearly and raises OutOfRange
-    beyond the last sample; integral transforms integrate over the samples
-    only, i.e. treat the tail as zero.
+    Sampling (sample_kernel) interpolates linearly and reads 0 beyond the
+    last sample; integral transforms integrate over the samples only, i.e.
+    treat the tail as zero.
     """
 
     times: np.ndarray
@@ -78,23 +78,6 @@ class Tabulated:
 
 
 CorrelationKernel = Exponential | WhiteNoise | Tabulated
-
-
-def evaluate_kernel(k: CorrelationKernel, tau: float) -> complex:
-    """Pointwise g(tau), using the Hermitian extension for tau < 0."""
-    if isinstance(k, WhiteNoise):
-        raise PointwiseUndefined(
-            "white noise has no pointwise value; use half_fourier"
-        )
-    if tau < 0:
-        return np.conj(evaluate_kernel(k, -tau))
-    if isinstance(k, Exponential):
-        return k.gamma * np.exp(-(k.kappa + 1j * k.omega) * tau)
-    if tau > k.times[-1]:
-        raise OutOfRange(f"tau={tau} beyond last sample {k.times[-1]}")
-    re = np.interp(tau, k.times, k.values.real)
-    im = np.interp(tau, k.times, k.values.imag)
-    return complex(re, im)
 
 
 def sample_kernel(k: CorrelationKernel, taus: np.ndarray) -> np.ndarray:

@@ -49,15 +49,6 @@ class BohrSpectrum:
         lo = hi - 1
         return np.where(np.abs(x - w[hi]) < np.abs(x - w[lo]), hi, lo)
 
-    def index_of(self, omega: float) -> int | None:
-        """Index of the bin containing omega, or None."""
-        if len(self.frequencies) == 0:
-            return None
-        k = int(self.nearest(omega))
-        if abs(self.frequencies[k] - omega) <= self.bin_tolerance:
-            return k
-        return None
-
     def __len__(self) -> int:
         return len(self.frequencies)
 
@@ -117,9 +108,6 @@ class SpectralOperator:
     labels: np.ndarray
     spectrum: BohrSpectrum
     eig: EigenSystem = field(repr=False)
-
-    def component(self, k: int) -> np.ndarray:
-        return np.where(self.labels == k, self.source, 0.0)
 
 
 def decompose(A: np.ndarray, eig: EigenSystem, spectrum: BohrSpectrum) -> SpectralOperator:

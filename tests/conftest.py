@@ -9,7 +9,6 @@ from hypothesis import reject
 from hypothesis import strategies as st
 
 import lindcur as lc
-from lindcur.linalg import vec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,7 +98,7 @@ def superop_from_action(f, N):
                 raise lc.DimensionMismatch(
                     f"action returned shape {image.shape}, expected {(N, N)}"
                 )
-            M[:, i + j * N] = vec(image)
+            M[:, i + j * N] = image.reshape(-1, order="F")
     return lc.SuperOperator(N, M)
 
 
@@ -135,7 +134,8 @@ def dense_generator(V, gplus, eig):
 
 def components(sop):
     """The (bins, N, N) stack of a SpectralOperator's per-bin components."""
-    return np.stack([sop.component(k) for k in range(len(sop.spectrum))])
+    bins = np.arange(len(sop.spectrum))[:, None, None]
+    return np.where(sop.labels == bins, sop.source, 0)
 
 
 def interaction_picture_batch(sop, taus):

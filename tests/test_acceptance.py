@@ -138,7 +138,7 @@ def test_criterion_5_finite_window_convergence(two_level):
     dists = []
     for delta in windows:
         pre = lc.pre_lindblad_generator(coupling, two_level.kernel, delta, dt)
-        dists.append(float(np.max(np.abs(pre.matrix - target))))
+        dists.append(float(np.max(np.abs(pre - target))))
     dists = np.array(dists)
     slope = np.polyfit(np.log(windows), np.log(dists), 1)[0]
     ok = bool(np.all(np.diff(dists) < 0)) and -1.3 <= slope <= -0.7

@@ -394,8 +394,8 @@ def _family_sum(bundle, rho_comps, index):
     J_stack = np.stack([components(bond) for bond in bonds])
     total = np.zeros((len(rho_comps), engine.n_bonds), dtype=complex)
     for aJ, a1, a2, ar in index:
-        a2dag = spectrum.index_of(-w[a2])
-        if a2dag is None:
+        a2dag = int(spectrum.nearest(-w[a2]))
+        if abs(w[a2dag] + w[a2]) > tol:
             continue
         Vdag = V[a2dag]
         V1 = V[a1]

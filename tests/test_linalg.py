@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from lindcur import (
-    DimensionMismatch,
-    NotHermitian,
-    SuperOperator,
-    hermitian_eigensystem,
-    superop_adjoint,
-)
-from lindcur.linalg import unvec, vec
+from lindcur import DimensionMismatch, NotHermitian, hermitian_eigensystem
 
 from conftest import random_hermitian, superop_from_action
 
@@ -75,12 +68,6 @@ def test_repeated_decomposition_bit_identical(rng):
     assert np.array_equal(first.basis, second.basis)
 
 
-def test_vec_is_column_stacking():
-    X = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(vec(X), [1.0, 3.0, 2.0, 4.0])
-    np.testing.assert_array_equal(unvec(vec(X), 2), X)
-
-
 def test_superop_from_zero_map():
     S = superop_from_action(lambda X: np.zeros_like(X), 3)
     assert not np.any(S.matrix)
@@ -98,7 +85,8 @@ def test_transpose_map_is_permutation(rng):
     np.testing.assert_array_equal(M.sum(axis=0), np.ones(4))
     np.testing.assert_array_equal(M.sum(axis=1), np.ones(4))
     X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    np.testing.assert_array_equal(S.apply(X), X.T)
+    image = (S.matrix @ X.reshape(-1, order="F")).reshape(2, 2, order="F")
+    np.testing.assert_array_equal(image, X.T)
 
 
 def test_commutator_map_spectrum():
@@ -110,36 +98,3 @@ def test_commutator_map_spectrum():
         np.sort_complex(np.array([-1.0, 0.0, 0.0, 1.0], dtype=complex)),
         atol=1e-12,
     )
-
-
-def test_adjoint_of_left_multiplication(rng):
-    C = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    S = superop_from_action(lambda X: C @ X, 3)
-    A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    np.testing.assert_allclose(superop_adjoint(S).apply(A), A @ C, atol=1e-12)
-
-
-def test_adjoint_trace_pairing(rng):
-    N = 4
-    S = SuperOperator(N, rng.normal(size=(N * N, N * N)) + 1j * rng.normal(size=(N * N, N * N)))
-    Sadj = superop_adjoint(S)
-    for _ in range(10):
-        A = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-        B = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-        lhs = np.trace(A @ S.apply(B))
-        rhs = np.trace(Sadj.apply(A) @ B)
-        assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
-
-
-def test_double_adjoint_is_identity(rng):
-    N = 3
-    S = SuperOperator(N, rng.normal(size=(N * N, N * N)) + 1j * rng.normal(size=(N * N, N * N)))
-    np.testing.assert_allclose(
-        superop_adjoint(superop_adjoint(S)).matrix, S.matrix, atol=1e-12
-    )
-
-
-def test_apply_rejects_wrong_operand():
-    S = superop_from_action(lambda X: X, 2)
-    with pytest.raises(DimensionMismatch):
-        S.apply(np.zeros((3, 3)))

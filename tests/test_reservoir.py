@@ -9,7 +9,6 @@ from lindcur import (
     Exponential,
     HalfFourierTable,
     MissingFrequency,
-    OutOfRange,
     PointwiseUndefined,
     PositivityViolation,
     Tabulated,
@@ -17,7 +16,6 @@ from lindcur import (
     bohr_frequencies,
     build_generator,
     decompose,
-    evaluate_kernel,
     gplus_table,
     half_fourier,
     load_tabulated_csv,
@@ -31,30 +29,19 @@ def _tabulate(kernel, t_max, n):
 
 
 def test_exponential_at_zero_lag():
-    assert evaluate_kernel(Exponential(1.0, 2.0, 0.0), 0.0) == pytest.approx(1.0)
-
-
-def test_negative_lag_is_conjugate():
-    k = Exponential(1.0, 2.0, 3.0)
-    assert evaluate_kernel(k, -0.5) == pytest.approx(np.conj(evaluate_kernel(k, 0.5)))
-    tab = _tabulate(k, 2.0, 101)
-    assert evaluate_kernel(tab, -0.3) == pytest.approx(
-        np.conj(evaluate_kernel(tab, 0.3)), abs=1e-12
-    )
+    g = sample_kernel(Exponential(1.0, 2.0, 0.0), np.array([0.0]))
+    assert g[0] == pytest.approx(1.0)
 
 
 def test_white_noise_has_no_pointwise_value():
-    with pytest.raises(PointwiseUndefined):
-        evaluate_kernel(WhiteNoise(0.4), 0.1)
     with pytest.raises(PointwiseUndefined):
         sample_kernel(WhiteNoise(0.4), np.linspace(0.0, 1.0, 5))
 
 
 def test_tabulated_interpolates_and_bounds():
     tab = _tabulate(Exponential(1.0, 1.0, 0.0), 2.0, 21)
-    assert evaluate_kernel(tab, 0.25) == pytest.approx(np.exp(-0.25), abs=1e-3)
-    with pytest.raises(OutOfRange):
-        evaluate_kernel(tab, 2.5)
+    g = sample_kernel(tab, np.array([0.25]))
+    assert g[0] == pytest.approx(np.exp(-0.25), abs=1e-3)
 
 
 def test_tabulated_validation():

@@ -118,7 +118,7 @@ def _pre_lindblad_pair(b, delta):
     dt = resolution_bound(b.kernel, b.spectrum)
     V = b.engine.coupling
     return (
-        lc.pre_lindblad_generator(V, b.kernel, delta, dt).matrix,
+        lc.pre_lindblad_generator(V, b.kernel, delta, dt),
         reference_pre_lindblad(V, b.kernel, delta, dt),
     )
 
@@ -240,7 +240,7 @@ def test_chunk_size_does_not_change_the_quadratures(ref4, monkeypatch):
             ref4.ops, ref4.eig, ref4.spectrum, ref4.kernel, rho, t, dt
         )
         pre = lc.pre_lindblad_generator(ref4.engine.coupling, ref4.kernel, t, dt)
-        results.append((oracle, pre.matrix))
+        results.append((oracle, pre))
     first_oracle, first_pre = results[0]
     for oracle, pre in results[1:]:
         _assert_agree(oracle, first_oracle, CHUNK_AGREEMENT)
@@ -295,9 +295,9 @@ def test_pre_lindblad_ladder_reads_each_window_off_one_pass(ref4, short_chunks):
     assert maps.shape == (len(lengths), 16, 16)
     np.testing.assert_array_equal(used, h * steps)
     whole = lc.pre_lindblad_generator(V, kernel, longest, dt)
-    assert isinstance(whole, lc.SuperOperator)
+    assert whole.shape == (16, 16) and whole.dtype == complex
     # the rungs split the sums of their chunks, which rounds differently
-    _assert_agree(maps[-1], whole.matrix, CHUNK_AGREEMENT)
+    _assert_agree(maps[-1], whole, CHUNK_AGREEMENT)
     for length, got in zip(used, maps):
         # the same grid: a step just above h gives the window length / h steps
         want = reference_pre_lindblad(V, kernel, length, h * (1.0 + 1e-9))
