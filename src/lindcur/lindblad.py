@@ -52,9 +52,8 @@ POSITIVITY_FLOOR = -1e-6
 POSITIVITY_CHUNK = 64
 KERNEL_CUTOFF = 1e-10
 # the working set of one chunk of every streamed loop: a finite window's
-# samples (sampled_window), evolve's power tables, continuity_report's
-# pieces of states and the states PackedStates unpacks per piece when
-# iterated
+# samples (sampled_window), evolve's power tables (which the stepper of
+# CheckpointedStates keeps) and continuity_report's pieces of states
 CHUNK_BYTES = 1 << 20
 WINDOW_FLOOR = 128  # samples per chunk of a finite window, at least
 
@@ -115,72 +114,114 @@ class LindbladGenerator:
         return eig.to_site_basis(_block_action(self, eig.to_energy_basis(rho)))
 
 
-class PackedStates:
-    """A read-only sequence of Hermitian N x N states, stored as N^2 reals
-    each.
+class CheckpointedStates:
+    """A read-only sequence of evolve's stored states, recomputed on read
+    from checkpoints.
 
-    packed is a (T, N, N) float array whose entry [i, j] holds Re rho_ij
-    for i <= j and Im rho_ji for i > j.  Reading unpacks by copying and
-    negating only, so a state stored exactly Hermitian (mirrored entries
-    exact conjugates, a diagonal with zero imaginary parts) comes back bit
-    for bit.  An int index, negative included, gives a new (N, N) complex
-    array, a slice, with or without a step, a new (k, N, N) one, and
-    np.asarray the whole (T, N, N) stack.  Iteration unpacks a fresh piece
-    of CHUNK_BYTES of complex states at a time and yields its states.
+    It keeps the Hermitized initial state, the block-order energy-basis
+    vector that starts every stride-th chunk of evolve's steps, stride =
+    max(1, POSITIVITY_CHUNK // c), and a read-only _Stepper: the power
+    tables, the gather maps, U and one (c, N, N) buffer.  Chunk k is
+    recomputed by stepping forward from the checkpoint before it with
+    _Stepper.step, at most stride - 1 chunks without rotating them, and
+    rotating chunk k with _Stepper.rotate: the functions that evolve runs,
+    on the same inputs, so every state reads back as the consumer gets it,
+    bit for bit.  The last chunk produced and the vector that starts the
+    next one are cached, so iteration and ascending pieces compute each
+    chunk once.
+
+    An int index, negative included, gives a new (N, N) complex array, a
+    slice, with or without a step, a new (k, N, N) one, iteration new
+    states, and np.asarray the whole (T, N, N) stack.  Empty (length 0)
+    when evolve streamed its states to a consumer.
     """
 
-    def __init__(self, packed: np.ndarray):
-        self.packed = packed
+    def __init__(self, rho0: np.ndarray, length: int, stepper=None):
+        self._rho0 = rho0.copy()
+        self._rho0.flags.writeable = False
+        self._length = length
+        self._stepper = stepper
+        self._chunk_length = 1 if stepper is None else stepper.length
+        self.stride = max(1, POSITIVITY_CHUNK // self._chunk_length)
+        self._n_chunks = -(-(length - 1) // self._chunk_length) if length else 0
+        self._checkpoints = np.empty(
+            (-(-self._n_chunks // self.stride), rho0.size), dtype=complex
+        )
+        self._cached = (None, None)  # (k, site-basis states of chunk k)
+        self._next = (None, None)  # (k, the vector that starts chunk k)
+
+    def _keep(self, k: int, x: np.ndarray) -> None:
+        """Record x as the start of chunk k if k is a checkpoint's chunk."""
+        if k % self.stride == 0:
+            self._checkpoints[k // self.stride] = x
+
+    def _freeze(self) -> None:
+        self._checkpoints.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.packed)
+        return self._length
+
+    def _size(self, k: int) -> int:
+        return min(self._chunk_length, self._length - 1 - k * self._chunk_length)
+
+    def _chunk(self, k: int) -> np.ndarray:
+        """The site-basis states of chunk k, states 1 + k c onwards; the
+        array is never written again, so a caller may hold it."""
+        cached_k, states = self._cached
+        if cached_k == k:
+            return states
+        self._cached = (None, None)
+        start = k - k % self.stride
+        x = self._checkpoints[start // self.stride]
+        next_k, next_x = self._next
+        if next_k is not None and start <= next_k <= k:
+            start, x = next_k, next_x
+        for j in range(start, k):
+            x = self._stepper.step(x, self._size(j))[1]
+        energy, x = self._stepper.step(x, self._size(k))[:2]
+        states = self._stepper.rotate(energy)
+        self._cached = (k, states)
+        self._next = (k + 1, x)
+        return states
+
+    def _gather(self, index: np.ndarray) -> np.ndarray:
+        N = self._rho0.shape[0]
+        out = np.empty((len(index), N, N), dtype=complex)
+        c = self._chunk_length
+        chunk_of = (index - 1) // c  # -1 for the initial state
+        for k in np.unique(chunk_of):
+            at = chunk_of == k
+            out[at] = self._rho0 if k < 0 else self._chunk(int(k))[(index[at] - 1) % c]
+        return out
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return _unpack(self.packed[key])
-        return _unpack(self.packed[operator.index(key)][None])[0]
+            return self._gather(np.arange(self._length)[key])
+        i = operator.index(key)
+        if not -self._length <= i < self._length:
+            raise IndexError(f"state {i} of a trajectory of {self._length}")
+        return self._gather(np.array([i % self._length]))[0]
 
     def __iter__(self):
-        N = self.packed.shape[-1]
-        size = max(1, CHUNK_BYTES // (16 * N * N))
-        for first in range(0, len(self), size):
-            yield from self[first : first + size]
+        if self._length:
+            yield self._rho0.copy()
+        for k in range(self._n_chunks):
+            for state in self._chunk(k):
+                yield state.copy()
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
-            raise ValueError("the packed states cannot be read without a copy")
+            raise ValueError("the stored states cannot be read without a copy")
         return self[:] if dtype is None else self[:].astype(dtype, copy=False)
-
-
-def _pack(states: np.ndarray, out: np.ndarray) -> None:
-    """Write the (k, N, N) stack of exactly Hermitian states into the
-    (k, N, N) float array out in PackedStates' layout."""
-    i, j = np.tril_indices(states.shape[-1], -1)
-    out[...] = states.real
-    out[:, i, j] = states.imag[:, j, i]
-
-
-def _unpack(packed: np.ndarray) -> np.ndarray:
-    """The (k, N, N) complex states of a stack in PackedStates' layout."""
-    i, j = np.tril_indices(packed.shape[-1], -1)
-    states = np.empty(packed.shape, dtype=complex)
-    re, im = states.real, states.imag
-    re[...] = packed
-    re[:, i, j] = packed[:, j, i]
-    im[:, j, i] = packed[:, i, j]
-    im[:, i, j] = -packed[:, i, j]
-    im[:, range(packed.shape[-1]), range(packed.shape[-1])] = 0.0
-    return states
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States at every integrator step, packed as N^2 reals each
-    (PackedStates, empty when evolve streamed them to a consumer), with
-    per-step correction logs."""
+    """States at every integrator step (CheckpointedStates, empty when
+    evolve streamed them to a consumer), with per-step correction logs."""
 
     times: np.ndarray
-    states: PackedStates
+    states: CheckpointedStates
     herm_defects: np.ndarray
     trace_defects: np.ndarray
 
@@ -404,31 +445,137 @@ def _expm(M: np.ndarray, h: float) -> np.ndarray:
     return P
 
 
-def _guard_positivity(
-    chunk: np.ndarray, first: int, h: float, work: np.ndarray
-) -> None:
+def _pieces(size: int, N: int) -> list:
+    """Slices that cover range(size) with pieces of 4096 // N^2 states, at
+    least one: per-state reductions over a chunk take one piece at a time,
+    so their temporaries stay small beside the chunk, and a chunk takes one
+    piece up to N = 8."""
+    step = max(1, 4096 // (N * N))
+    return [slice(a, a + step) for a in range(0, size, step)]
+
+
+def _guard_positivity(chunk: np.ndarray, first: int, h: float) -> None:
     """Raise PositivityLost for the earliest chunk[i], the stored state
     first + i, whose lowest eigenvalue is below POSITIVITY_FLOOR.
 
-    One batched Cholesky factorisation of chunk - POSITIVITY_FLOOR I
-    certifies every state of the chunk at once; eigvalsh runs only for a
-    chunk that it rejects, and decides which state, if any, is bad.  The
-    shifted chunk is formed in work, a free complex array of chunk's shape,
-    and chunk is left as it is.
+    One batched Cholesky factorisation of piece - POSITIVITY_FLOOR I
+    certifies every state of a piece (_pieces) at once; eigvalsh runs only
+    for a piece that it rejects, and decides which state, if any, is bad.
+    chunk is left as it is.
     """
     diag = np.arange(chunk.shape[-1])
-    np.copyto(work, chunk)
-    work[:, diag, diag] -= POSITIVITY_FLOOR
-    try:
-        np.linalg.cholesky(work)
-    except np.linalg.LinAlgError:
-        lows = np.linalg.eigvalsh(chunk).min(axis=1)
-        bad = np.flatnonzero(lows < POSITIVITY_FLOOR)
-        if len(bad):
-            i = int(bad[0])
-            raise PositivityLost(
-                f"eigenvalue {lows[i]:.3e} at t={h * (first + i):.6g}"
-            ) from None
+    for part in _pieces(len(chunk), chunk.shape[-1]):
+        shifted = chunk[part].copy()
+        shifted[:, diag, diag] -= POSITIVITY_FLOOR
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            lows = np.linalg.eigvalsh(chunk[part]).min(axis=1)
+            bad = np.flatnonzero(lows < POSITIVITY_FLOOR)
+            if len(bad):
+                i = int(bad[0])
+                raise PositivityLost(
+                    f"eigenvalue {lows[i]:.3e} at t={h * (first + part.start + i):.6g}"
+                ) from None
+
+
+class _Stepper:
+    """evolve's chunk routine for one generator and step h, split in two:
+    step, from the vector that starts a chunk to its corrected
+    energy-basis states, and rotate, from those to the site basis.
+
+    length is the chunk length c = min(POSITIVITY_CHUNK, CHUNK_BYTES //
+    (16 sum of m^2), n_steps) over the blocks m x m, at least 1.  It holds
+    read-only copies of all it reads: the power tables P, P^2, ..., P^c of
+    each block, P = exp(hB), at most CHUNK_BYTES; the gather maps of the
+    mirror (i, j) -> (j, i), the diagonal and the energy basis; and U.  It
+    also holds one (c, N, N) complex buffer, in which step leaves the
+    chunk's energy-basis states.
+    """
+
+    def __init__(self, G: LindbladGenerator, h: float, n_steps: int):
+        N = self.dimension = G.dimension
+        order = G.block_order
+        where = np.empty_like(order)
+        where[order] = np.arange(N * N)
+        self.mirror = where[(order % N) * N + order // N]
+        self.diagonal = where[:: N + 1]
+        self.where = where
+        entries = sum(B.size for B in G.blocks)
+        c = self.length = min(
+            POSITIVITY_CHUNK, max(1, CHUNK_BYTES // (16 * entries)), n_steps
+        )
+        self.tables = []
+        for part, B in _block_runs(G):
+            P = _expm(B, h)  # before the table, so their peaks do not add up
+            table = np.empty((c, *P.shape), dtype=complex)
+            table[0] = P
+            for k in range(1, c):
+                np.matmul(table[k - 1], P, out=table[k])
+            self.tables.append((part, table))
+        self.basis = G.eig.basis.copy()
+        self.basis_adjoint = self.basis.conj().T
+        for a in (self.mirror, self.diagonal, where, self.basis, self.basis_adjoint):
+            a.flags.writeable = False
+        for _, table in self.tables:
+            table.flags.writeable = False
+        self.buffer = np.empty((c, N * N), dtype=complex)
+
+    def step(self, x: np.ndarray, size: int, defects: bool = False):
+        """The size states that follow the block-order energy-basis state x.
+
+        A chunk is one batched product of the table with x, per block size
+        (an elementwise product for 1 x 1 blocks).  Every state is then
+        re-Hermitized through a gather of each entry's mirror and
+        trace-renormalized, all at once.  Returns (energy, x, herm, trace):
+        the corrected states in the energy basis, a (size, N, N) view of
+        the buffer; the block-order vector of the last one, which starts
+        the next chunk; and, with defects set, the two correction
+        magnitudes of each state (the Hermiticity defect formed a piece of
+        states at a time), else None for both.
+        """
+        N = self.dimension
+        raw = np.empty((size, N * N), dtype=complex)
+        for part, table in self.tables:
+            count, m = table.shape[1:3]
+            if m == 1:  # 1 x 1 blocks scale their entries, a piece at a time
+                # as numpy buffers a strided product whole
+                powers = table[:size].reshape(size, count)
+                for rows in _pieces(size, N):
+                    np.multiply(powers[rows], x[part], out=raw[rows, part])
+            else:
+                y = table[:size] @ x[part].reshape(count, m, 1)
+                raw[:, part] = y.reshape(size, -1)
+        # twice the Hermitian part, then one division for both the halving
+        # and the trace; dividing the real view by the real trace rounds as
+        # a complex division by it does
+        mirrored = np.take(raw, self.mirror, axis=1, out=self.buffer[:size], mode="clip")
+        np.conjugate(mirrored, out=mirrored)
+        herm = trace = None
+        if defects:
+            herm = np.empty(size)
+            for part in _pieces(size, N):
+                np.max(np.abs(raw[part] - mirrored[part]), axis=1, out=herm[part])
+        done = np.add(raw, mirrored, out=raw)
+        traces = done[:, self.diagonal].real.sum(axis=1)
+        np.divide(done.view(float), traces[:, None], out=done.view(float))
+        x = done[-1].copy()
+        energy = np.take(done, self.where, axis=1, out=mirrored, mode="clip")
+        if defects:
+            trace = np.abs(traces / 2.0 - 1.0)
+        return energy.reshape(size, N, N), x, herm, trace
+
+    def rotate(self, energy: np.ndarray) -> np.ndarray:
+        """The site-basis states (S + S^dag)/2, S = U E U^dag, of the
+        (k, N, N) energy-basis stack E, as a new array, Hermitian bit for
+        bit; E is overwritten."""
+        out = np.matmul(self.basis, energy)
+        site = np.matmul(out, self.basis_adjoint, out=energy)
+        np.copyto(out, site.transpose(0, 2, 1))
+        np.conjugate(out, out=out)
+        out += site
+        out /= 2.0
+        return out
 
 
 def evolve(
@@ -444,16 +591,12 @@ def evolve(
     product with exp(hM)^k.  The exponential of a block-diagonal matrix is
     block-diagonal, so P = exp(hB) is formed once per block (_block_runs,
     _expm), and the state is kept in the energy basis, in block order.
-    The steps are taken in chunks of c states, c = min(POSITIVITY_CHUNK,
-    CHUNK_BYTES // (16 sum of m^2)) over the blocks m x m, at least 1: the
-    table P, P^2, ..., P^c is formed once per block by repeated products,
-    and a chunk is one batched product of the table with the state that
-    starts it, per block size (an elementwise product for 1 x 1 blocks).
-    Every state of the chunk is then re-Hermitized through a gather of
-    each entry's mirror (i, j) -> (j, i) and trace-renormalized, all at
-    once, and the next chunk starts from the last corrected state.  There
-    is no truncation error and no stability bound: dt only sets the
-    spacing of the stored states.
+    The steps are taken in chunks of c states (_Stepper): the table P,
+    P^2, ..., P^c is formed once per block by repeated products, and a
+    chunk is one batched product of the table with the state that starts
+    it, re-Hermitized and trace-renormalized; the next chunk starts from
+    the last corrected state.  There is no truncation error and no
+    stability bound: dt only sets the spacing of the stored states.
 
     The initial state is replaced by its Hermitian part (rho0 + rho0^dag)/2
     once, after validation, which changes no bit of an exactly Hermitian
@@ -461,22 +604,22 @@ def evolve(
     so drift never disappears silently (the Hermiticity correction is
     measured in the energy basis).  After each chunk positivity is
     certified (_guard_positivity), so at most c steps are taken past a
-    state that has lost it; then the chunk is rotated to the site basis
-    and Hermitized there, as (S + S^dag)/2, which is Hermitian bit for bit.
+    state that has lost it.
 
-    The state at every step is stored, as its N^2 reals (PackedStates) in
-    one (n_steps + 1, N, N) float array allocated up front: 8 N^2 bytes a
-    state, and reading a state back gives its complex matrix bit for bit.
-    Besides the stored states, memory is O(c sum of m^2): the power
-    tables, at most CHUNK_BYTES, and at most four (c, N, N) complex
-    stacks, two of them reused from chunk to chunk.
+    With consumer set, consumer(times, states) is called with each chunk in
+    turn, first the (1, N, N) initial state, then every (k, N, N) new
+    stack of certified site-basis states, each rotated and Hermitized
+    there as (S + S^dag)/2, which is Hermitian bit for bit, with its (k,)
+    times; the trajectory comes back with its times and correction logs and
+    no states.  Besides the power tables, at most CHUNK_BYTES, memory is
+    then about two (c, N, N) complex stacks: the buffer and one new stack.
 
-    With consumer set, nothing is stored: consumer(times, states) is
-    called with each chunk in turn, first the (1, N, N) initial state,
-    then every (k, N, N) stack of certified site-basis states with its (k,)
-    times, and the trajectory comes back with its times and correction
-    logs and no states.  The chunks concatenated are the states evolve
-    stores without it, bit for bit.
+    Without it, no state is rotated and none is stored: the trajectory's
+    states are CheckpointedStates, which keeps the start of every stride-th
+    chunk, stride = max(1, POSITIVITY_CHUNK // c), one vector per 33 to 64
+    states, and the _Stepper, and recomputes states on read, bit for bit
+    the consumer's.  That is 16 N^2 bytes per stride c states, besides the
+    tables and the buffer.
 
     Raises ValueError for dt <= 0 or t_final < 0 (before any matrix is
     built) and PositivityLost for the first state with an eigenvalue below
@@ -488,79 +631,32 @@ def evolve(
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
     rho0 = (rho0 + rho0.conj().T) / 2.0
-    N = G.dimension
     n_steps = max(1, math.ceil(t_final / dt - 1e-12)) if t_final > 0 else 0
     h = t_final / max(n_steps, 1)
     times = h * np.arange(n_steps + 1)
+    if consumer is not None:
+        consumer(times[:1], rho0.copy()[None])
+    stepper = _Stepper(G, h, n_steps) if n_steps else None
     if consumer is None:
-        states = PackedStates(np.empty((n_steps + 1, N, N)))
-        filled = 0
-
-        def consumer(_, chunk):
-            nonlocal filled
-            _pack(chunk, states.packed[filled : filled + len(chunk)])
-            filled += len(chunk)
+        states = CheckpointedStates(rho0, n_steps + 1, stepper)
     else:
-        states = PackedStates(np.empty((0, N, N)))
-    consumer(times[:1], rho0.copy()[None])
-    if n_steps == 0:
-        return Trajectory(
-            times=times,
-            states=states,
-            herm_defects=np.array([0.0]),
-            trace_defects=np.array([0.0]),
-        )
-    order = G.block_order
-    where = np.empty_like(order)
-    where[order] = np.arange(N * N)
-    mirror = where[(order % N) * N + order // N]
-    diagonal = where[:: N + 1]
-    entries = sum(B.size for B in G.blocks)
-    c = min(POSITIVITY_CHUNK, max(1, CHUNK_BYTES // (16 * entries)))
-    tables = []
-    for part, B in _block_runs(G):
-        P = _expm(B, h)  # before the table, so their peaks do not add up
-        table = np.empty((c, *P.shape), dtype=complex)
-        table[0] = P
-        for k in range(1, c):
-            np.matmul(table[k - 1], P, out=table[k])
-        tables.append((part, table))
-    x = G.eig.to_energy_basis(rho0).ravel()[order]
-    U = G.eig.basis
+        states = CheckpointedStates(rho0, 0)
     herm_defects = [np.zeros(1)]
     trace_defects = [np.zeros(1)]
-    # one chunk's two stacks, reused: x is copied out before they are refilled
-    raw_buf = np.empty((c, N * N), dtype=complex)
-    other_buf = np.empty_like(raw_buf)
-    for first in range(1, n_steps + 1, c):
-        size = min(c, n_steps + 1 - first)
-        raw = raw_buf[:size]
-        for part, table in tables:
-            count, m = table.shape[1:3]
-            if m == 1:  # 1 x 1 blocks scale their entries
-                powers = table[:size].reshape(size, count)
-                np.multiply(powers, x[part], out=raw[:, part])
-            else:
-                y = table[:size] @ x[part].reshape(count, m, 1)
-                raw[:, part] = y.reshape(size, -1)
-        # twice the Hermitian part, then one division for both the halving
-        # and the trace; dividing the real view by the real trace rounds as
-        # a complex division by it does
-        mirrored = np.take(raw, mirror, axis=1, out=other_buf[:size], mode="clip")
-        np.conjugate(mirrored, out=mirrored)
-        herm_defects.append(np.max(np.abs(raw - mirrored), axis=1))
-        done = np.add(raw, mirrored, out=raw)
-        traces = done[:, diagonal].real.sum(axis=1)
-        np.divide(done.view(float), traces[:, None], out=done.view(float))
-        trace_defects.append(np.abs(traces / 2.0 - 1.0))
-        x = done[-1].copy()
-        energy = np.take(done, where, axis=1, out=mirrored, mode="clip")
-        energy = energy.reshape(size, N, N)
-        # raw is free: x is copied out and energy is in the other buffer
-        _guard_positivity(energy, first, h, raw.reshape(size, N, N))
-        site = np.matmul(U @ energy, U.conj().T, out=raw.reshape(size, N, N))
-        adjoint = np.conjugate(site.transpose(0, 2, 1), out=energy)
-        consumer(times[first : first + size], (site + adjoint) / 2.0)
+    if n_steps:
+        c = stepper.length
+        x = G.eig.to_energy_basis(rho0).ravel()[G.block_order]
+        for k, first in enumerate(range(1, n_steps + 1, c)):
+            size = min(c, n_steps + 1 - first)
+            if consumer is None:
+                states._keep(k, x)
+            energy, x, herm, trace = stepper.step(x, size, defects=True)
+            herm_defects.append(herm)
+            trace_defects.append(trace)
+            _guard_positivity(energy, first, h)
+            if consumer is not None:
+                consumer(times[first : first + size], stepper.rotate(energy))
+    states._freeze()
     herm_defects = np.concatenate(herm_defects)
     trace_defects = np.concatenate(trace_defects)
     logger.debug(

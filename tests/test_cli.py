@@ -753,11 +753,11 @@ def test_failed_run_leaves_earlier_tables_unchanged(tmp_path, monkeypatch):
     guard = lindblad._guard_positivity
     calls = []
 
-    def fail_third(chunk, first, h, work):
+    def fail_third(chunk, first, h):
         calls.append(first)
         if len(calls) == 3:
             raise PositivityLost(f"injected at t={h * first:.6g}")
-        guard(chunk, first, h, work)
+        guard(chunk, first, h)
 
     monkeypatch.setattr(lindblad, "_guard_positivity", fail_third)
     monkeypatch.setattr(cli, "CSV_BLOCK", 16 * 4)  # rows are written before the error

@@ -475,34 +475,83 @@ def _assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def _seven_state_chunks(monkeypatch, G):
+    """Set CHUNK_BYTES so that evolve takes chunks of c = 7 states, which
+    puts a checkpoint every POSITIVITY_CHUNK // 7 = 9 chunks."""
+    entries = sum(B.size for B in G.blocks)
+    monkeypatch.setattr(lindblad, "CHUNK_BYTES", 7 * 16 * entries)
+
+
+def _stored_and_streamed(G, rho0, t_final, dt):
+    stored = evolve(G, rho0, t_final, dt)
+    chunks = []
+    evolve(G, rho0, t_final, dt, lambda t, s: chunks.append(s))
+    return stored.states, np.concatenate(chunks)
+
+
 @pytest.mark.parametrize("n_steps", [63, 64, 65, 129])
 @pytest.mark.parametrize("model", ["ref4", "uniform6", "random8"])
 def test_stored_states_read_back_as_the_streamed_ones(
     request, monkeypatch, model, n_steps
 ):
-    """Every way of reading the packed store gives the consumer's complex
-    states bit for bit: int and negative indices, plain and stepped
-    slices, iteration over pieces of CHUNK_BYTES (7 states here, so that
-    list() keeps several pieces) and np.asarray."""
+    """Every way of reading the checkpointed store gives the consumer's
+    complex states bit for bit: int and negative indices, plain and
+    stepped slices, iteration and np.asarray.  Chunks hold 7 states, so
+    the 63 to 129 steps take 9 to 19 chunks and one to three checkpoints."""
     G = build_generator(*MODELS[model](request))
-    N = G.dimension
-    rho0 = random_density(np.random.default_rng(n_steps), N)
-    stored = evolve(G, rho0, 0.25 * n_steps, 0.25)
-    chunks = []
-    evolve(G, rho0, 0.25 * n_steps, 0.25, lambda t, s: chunks.append(s))
-    want = np.concatenate(chunks)
-    states = stored.states
+    _seven_state_chunks(monkeypatch, G)
+    rho0 = random_density(np.random.default_rng(n_steps), G.dimension)
+    states, want = _stored_and_streamed(G, rho0, 0.25 * n_steps, 0.25)
+    assert states.stride == 9
     assert len(states) == len(want) == n_steps + 1
     for i in (0, 1, n_steps // 2, n_steps, -1, -n_steps - 1):
         _assert_same_bits(states[i], want[i])
     _assert_same_bits(states[np.int64(3)], want[3])
     for part in (slice(None), slice(5, 40), slice(None, None, 7), slice(-9, None, 2)):
         _assert_same_bits(states[part], want[part])
-    with pytest.raises(IndexError):
-        states[n_steps + 1]
-    monkeypatch.setattr(lindblad, "CHUNK_BYTES", 7 * 16 * N * N)
+    for i in (n_steps + 1, -n_steps - 2):
+        with pytest.raises(IndexError):
+            states[i]
     _assert_same_bits(np.array(list(states)), want)
     _assert_same_bits(np.asarray(states), want)
+    with pytest.raises(ValueError):
+        np.asarray(states, copy=False)
+
+
+def test_stored_states_read_back_in_any_order(request, monkeypatch):
+    """Reads in random order, in reverse, by negative-step slices, after a
+    partial iteration and from two interleaved iterators all recompute the
+    consumer's states bit for bit, from checkpoints 9 chunks of 7 states
+    apart, and every read is a new array."""
+    G = build_generator(*MODELS["random8"](request))
+    _seven_state_chunks(monkeypatch, G)
+    rho0 = random_density(np.random.default_rng(5), G.dimension)
+    states, want = _stored_and_streamed(G, rho0, 0.25 * 200, 0.25)
+    rng = np.random.default_rng(0)
+    for i in rng.permutation(len(want)):
+        _assert_same_bits(states[int(i)], want[i])
+    for i in range(len(want) - 1, -1, -1):
+        _assert_same_bits(states[i], want[i])
+    for part in (slice(None, None, -1), slice(150, 3, -13), slice(-1, -80, -2)):
+        _assert_same_bits(states[part], want[part])
+    partial = iter(states)
+    for i in range(100):
+        _assert_same_bits(next(partial), want[i])
+    _assert_same_bits(states[170], want[170])
+    _assert_same_bits(states[30:120], want[30:120])
+    _assert_same_bits(np.array(list(partial)), want[100:])
+    ahead, behind = iter(states), iter(states)
+    for _ in range(80):
+        next(ahead)
+    for i in range(80, len(want)):
+        _assert_same_bits(next(ahead), want[i])
+        _assert_same_bits(next(behind), want[i - 80])
+    first = states[7]
+    first[...] = 0.0
+    _assert_same_bits(states[7], want[7])
+    for rho in states[5:9]:
+        rho[...] = 0.0
+    _assert_same_bits(states[5:9], want[5:9])
 
 
 def test_evolve_takes_the_hermitian_part_of_rho0(ref4):
@@ -520,34 +569,61 @@ def test_evolve_takes_the_hermitian_part_of_rho0(ref4):
     _assert_same_bits(np.asarray(stored.states), np.concatenate(chunks))
 
 
-def test_stored_states_take_n_squared_reals_each():
-    """2 000 stored steps at N = 8: 8 N^2 bytes a state, on top of one
-    chunk's working set (at most CHUNK_BYTES) and the (T,) times and
-    correction logs, gathered and concatenated; complex states would take
-    16 N^2 each."""
+def _held_and_peak(fn):
+    """Bytes that fn's result holds, and fn's peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return held, peak
+
+
+def _random_chain(N):
+    rng = np.random.default_rng(N)
+    return make_bundle(N, rng.uniform(-1.0, 1.0, N), potential=rng.normal(0.0, 0.3, N))
+
+
+def test_stored_evolve_peaks_at_one_chunk_and_its_checkpoints():
+    """2 000 stored steps at N = 8, c = 64 states a chunk and a checkpoint
+    for each: the peak is the power tables, four (c, N, N) complex stacks
+    of one chunk's working set, the checkpoints and the (T,) times and
+    correction logs, gathered and concatenated.  No state is stored."""
     N, T = 8, 2000
     coupling = np.random.default_rng(N).uniform(-1.0, 1.0, N)
     G = make_bundle(N, coupling).generator
-    tracemalloc.start()
-    try:
-        evolve(G, _site_state(N), T * 0.01, 0.01)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * N * N * (T + 1) + lindblad.CHUNK_BYTES + 5 * 8 * (T + 1)
+    entries = sum(B.size for B in G.blocks)
+    _, peak = _held_and_peak(lambda: evolve(G, _site_state(N), T * 0.01, 0.01))
+    tables = 16 * 64 * entries
+    stack = 16 * 64 * N * N
+    checkpoints = 16 * N * N * math.ceil(T / 64)
+    assert peak <= tables + 4 * stack + checkpoints + 5 * 8 * (T + 1)
+
+
+@pytest.mark.parametrize(("T", "limit"), [(10, 0.3e6), (3000, 2.5e6)])
+def test_stored_evolve_holds_tables_buffer_and_checkpoints(T, limit):
+    """After a stored evolve at N = 20 returns, the trajectory holds its
+    power tables and buffer, both sized for min(64, T) states, a checkpoint
+    per 64 states, U, rho0 and the (T,) times and logs: 0.2 MB for 10
+    steps, and 1.6 MB for 3 000, where 3 001 states would take 19.2 MB."""
+    N = 20
+    G = _random_chain(N).generator
+    held, _ = _held_and_peak(lambda: evolve(G, _site_state(N), T * 0.015, 0.015))
+    assert held <= limit
 
 
 def test_streamed_evolve_holds_one_chunk_at_a_time():
     """A streamed evolve at N = 20 (c = 64 states a chunk) peaks within its
-    power tables plus three and a half (c, N, N) complex stacks: two
-    buffers reused from chunk to chunk, in the free one of which the
-    positivity certificate is formed, and the Hermiticity defect's complex
-    difference and its real modulus, so nothing of a chunk is held while
-    the next is stepped."""
+    power tables plus two and a half (c, N, N) complex stacks: the buffer
+    reused from chunk to chunk and one new stack, which holds the products
+    with the tables and then the consumer's states.  The Hermiticity
+    defect, the 1 x 1 blocks' products and the positivity certificate are
+    formed a few states at a time, so nothing of a chunk is held while the
+    next is stepped."""
     N = 20
-    rng = np.random.default_rng(N)
-    bundle = make_bundle(N, rng.uniform(-1.0, 1.0, N), potential=rng.normal(0.0, 0.3, N))
-    G = bundle.generator
+    G = _random_chain(N).generator
     entries = sum(B.size for B in G.blocks)
     c = min(lindblad.POSITIVITY_CHUNK, max(1, lindblad.CHUNK_BYTES // (16 * entries)))
     assert c == 64
@@ -560,9 +636,10 @@ def test_streamed_evolve_holds_one_chunk_at_a_time():
         tracemalloc.stop()
     tables = 16 * c * entries
     stack = 16 * c * N * N
-    # a quarter stack for the O(c N) and O(N^2) arrays beside them: the
-    # last block product, the gather indices, the times and the logs
-    assert peak <= tables + 3 * stack + 3 * stack // 4
+    # half a stack for a piece's temporaries and the O(c N) and O(N^2)
+    # arrays beside them: the last block product, the gather indices, the
+    # times and the logs
+    assert peak <= tables + 2 * stack + stack // 2
 
 
 def test_evolve_commuting_state_is_constant():
@@ -732,7 +809,7 @@ def test_positivity_guard_passes_down_to_the_floor(low):
     """-0.99e-6 passes the Cholesky certificate; at the floor itself the
     factorisation fails and eigvalsh decides."""
     chunk = _diagonal_chunk([0.0, low, 0.1, low])
-    lindblad._guard_positivity(chunk, 3, 0.25, np.empty_like(chunk))
+    lindblad._guard_positivity(chunk, 3, 0.25)
     np.testing.assert_array_equal(chunk, _diagonal_chunk([0.0, low, 0.1, low]))
 
 
@@ -740,7 +817,22 @@ def test_positivity_guard_names_the_first_state_below_the_floor():
     lows = [0.0, -0.5e-6, lindblad.POSITIVITY_FLOOR, 0.0, 0.2, -1.01e-6, 0.0, -0.3]
     with pytest.raises(PositivityLost, match=r"^eigenvalue -1\.010e-06 at t=2$"):
         chunk = _diagonal_chunk(lows)
-        lindblad._guard_positivity(chunk, 3, 0.25, np.empty_like(chunk))
+        lindblad._guard_positivity(chunk, 3, 0.25)
+
+
+def test_positivity_guard_searches_piece_by_piece():
+    """At N = 20 the certificate takes pieces of 10 states; a piece whose
+    factorisation fails at the floor itself passes on to the next, and the
+    first bad state of a later piece is named with its own time."""
+    lows = np.full(25, 0.1)
+    lows[3] = lindblad.POSITIVITY_FLOOR
+    lows[[17, 23]] = -2e-6
+    chunk = np.zeros((25, 20, 20), dtype=complex)
+    chunk[:, range(20), range(20)] = 0.05
+    chunk[:, 19, 19] = lows
+    with pytest.raises(PositivityLost, match=r"^eigenvalue -2\.000e-06 at t=5$"):
+        lindblad._guard_positivity(chunk, 3, 0.25)
+    lindblad._guard_positivity(chunk[:15], 3, 0.25)
 
 
 def _svd_steady_state(inputs):
