@@ -101,7 +101,7 @@ def build_workbench(cfg: Config) -> Workbench:
     generator = build_generator(
         coupling, gplus, eig, positivity_tol=cfg.tolerances.positivity
     )
-    engine = build_engine(ops, eig, spectrum, gplus)
+    engine = build_engine(ops, coupling, gplus)
     return Workbench(cfg, ops, eig, spectrum, kernel, gplus, generator, engine)
 
 

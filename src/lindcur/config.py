@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -18,8 +19,16 @@ from .errors import ParseError, ValidationError
 from .lindblad import validate_density
 from .reservoir import Exponential, Tabulated, WhiteNoise, load_tabulated_csv
 
-BATH_TYPES = ("exponential", "white", "tabulated")
 INITIAL_STATES = ("ground", "mixed")
+# The keys that depend on a section's type: each type maps those it reads
+# to whether it requires them, and rejects the others.
+TYPE_KEYS = {
+    "bath": {
+        "exponential": {"kappa": True, "omega0": False},
+        "white": {},
+        "tabulated": {"file": True},
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -73,22 +82,24 @@ class Config:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-def _require_dict(raw, name):
+def _object(raw, name, cls):
+    """raw, which must be a JSON object whose keys are fields of cls."""
     if not isinstance(raw, dict):
         raise ValidationError(f"{name}: expected an object")
-    return raw
-
-
-def _reject_unknown(raw: dict, allowed, name: str):
+    allowed = [f.name for f in fields(cls)]
     for key in raw:
         if key not in allowed:
             raise ValidationError(f"{name}.{key}: unknown key")
+    return raw
 
 
 def _number(raw, name, *, minimum=None, strict_min=None):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValidationError(f"{name}: expected a number")
-    val = float(raw)
+    try:
+        val = float(raw)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValidationError(f"{name}: {exc}") from None
     if not np.isfinite(val):
         raise ValidationError(f"{name}: must be finite")
     if minimum is not None and val < minimum:
@@ -98,11 +109,13 @@ def _number(raw, name, *, minimum=None, strict_min=None):
     return val
 
 
-def _integer(raw, name, minimum):
+def _integer(raw, name, minimum, maximum=None):
     if isinstance(raw, bool) or not isinstance(raw, int):
         raise ValidationError(f"{name}: expected an integer")
     if raw < minimum:
         raise ValidationError(f"{name}: must be >= {minimum}")
+    if maximum is not None and raw > maximum:
+        raise ValidationError(f"{name}: must be <= {maximum}")
     return raw
 
 
@@ -112,133 +125,118 @@ def _array(raw, name, length):
     return tuple(_number(x, f"{name}[{i}]") for i, x in enumerate(raw))
 
 
-def _parse_model(raw) -> ModelConfig:
-    raw = _require_dict(raw, "model")
-    _reject_unknown(raw, {"n_sites", "hopping", "potential", "coupling"}, "model")
-    if "n_sites" not in raw:
-        raise ValidationError("model.n_sites: required")
-    n = _integer(raw["n_sites"], "model.n_sites", minimum=2)
-    hopping = _number(raw.get("hopping", 1.0), "model.hopping", strict_min=0.0)
-    potential = (
-        _array(raw["potential"], "model.potential", n)
-        if "potential" in raw
-        else tuple(0.0 for _ in range(n))
-    )
-    coupling = (
-        _array(raw["coupling"], "model.coupling", n)
-        if "coupling" in raw
-        else tuple(0.0 for _ in range(n))
-    )
-    return ModelConfig(n_sites=n, hopping=hopping, potential=potential, coupling=coupling)
+def _choice(raw, name, choices):
+    if raw not in choices:
+        raise ValidationError(f"{name}: expected one of {choices}")
+    return raw
 
 
-def _parse_bath(raw) -> BathConfig:
-    if raw is None:
-        return BathConfig()
-    raw = _require_dict(raw, "bath")
-    _reject_unknown(raw, {"type", "gamma", "kappa", "omega0", "file"}, "bath")
-    btype = raw.get("type", "exponential")
-    if btype not in BATH_TYPES:
-        raise ValidationError(f"bath.type: expected one of {BATH_TYPES}")
-    gamma = _number(raw.get("gamma", 0.1), "bath.gamma", minimum=0.0)
-    kappa = None
-    omega0 = None
-    path = None
-    if btype == "exponential":
-        if "file" in raw:
-            raise ValidationError("bath.file: not applicable to an exponential bath")
-        if "kappa" not in raw:
-            raise ValidationError("bath.kappa: required for an exponential bath")
-        kappa = _number(raw["kappa"], "bath.kappa", strict_min=0.0)
-        omega0 = _number(raw.get("omega0", 0.0), "bath.omega0")
-    elif btype == "white":
-        for key in ("kappa", "omega0", "file"):
-            if key in raw:
-                raise ValidationError(f"bath.{key}: not applicable to a white bath")
-    else:
-        for key in ("kappa", "omega0"):
-            if key in raw:
-                raise ValidationError(f"bath.{key}: not applicable to a tabulated bath")
-        if "file" not in raw:
-            raise ValidationError("bath.file: required for a tabulated bath")
-        path = raw["file"]
-        if not isinstance(path, str):
-            raise ValidationError("bath.file: expected a path string")
-        if not os.path.isfile(path):
-            raise ValidationError(f"bath.file: no such file: {path}")
-    return BathConfig(type=btype, gamma=gamma, kappa=kappa, omega0=omega0, file=path)
+def _nonempty_string(raw, name):
+    if not isinstance(raw, str) or not raw:
+        raise ValidationError(f"{name}: expected a nonempty string")
+    return raw
 
 
-def _parse_run(raw) -> RunConfig:
-    if raw is None:
-        return RunConfig()
-    raw = _require_dict(raw, "run")
-    _reject_unknown(raw, {"t_final", "dt", "initial_state"}, "run")
-    t_final = _number(raw.get("t_final", 10.0), "run.t_final", minimum=0.0)
-    dt = _number(raw.get("dt", 0.01), "run.dt", strict_min=0.0)
-    state = raw.get("initial_state", "mixed")
+def _existing_file(raw, name):
+    if not isinstance(raw, str):
+        raise ValidationError(f"{name}: expected a path string")
+    if not os.path.isfile(raw):
+        raise ValidationError(f"{name}: no such file: {raw}")
+    return raw
+
+
+def _initial_state(state, name):
+    """ground, mixed, site:<k> with k an optional - and ASCII digits, or
+    file:<path> naming an existing file."""
     if not isinstance(state, str):
-        raise ValidationError("run.initial_state: expected a string")
-    if state not in INITIAL_STATES:
-        if state.startswith("site:"):
-            try:
-                int(state[5:])
-            except ValueError:
-                raise ValidationError(
-                    "run.initial_state: site index must be an integer"
-                ) from None
-        elif state.startswith("file:"):
-            if not os.path.isfile(state[5:]):
-                raise ValidationError(
-                    f"run.initial_state: no such file: {state[5:]}"
-                )
+        raise ValidationError(f"{name}: expected a string")
+    if state in INITIAL_STATES:
+        return state
+    if state.startswith("site:"):
+        digits = state[5:].removeprefix("-")
+        try:
+            valid = digits.isascii() and digits.isdigit() and int(digits) >= 0
+        except ValueError:  # more digits than int() reads
+            valid = False
+        if not valid:
+            raise ValidationError(f"{name}: site index must be an integer")
+    elif state.startswith("file:"):
+        _existing_file(state[5:], name)
+    else:
+        raise ValidationError(
+            f"{name}: expected ground, mixed, site:<k>, or file:<path>"
+        )
+    return state
+
+
+# The check of a given value, called with it and its dotted key; the
+# model's per-site arrays are checked by _parse_model.
+_CHECKS = {
+    "model.n_sites": partial(_integer, minimum=2),
+    "model.hopping": partial(_number, strict_min=0.0),
+    "bath.type": partial(_choice, choices=tuple(TYPE_KEYS["bath"])),
+    "bath.gamma": partial(_number, minimum=0.0),
+    "bath.kappa": partial(_number, strict_min=0.0),
+    "bath.omega0": _number,
+    "bath.file": _existing_file,
+    "run.t_final": partial(_number, minimum=0.0),
+    "run.dt": partial(_number, strict_min=0.0),
+    "run.initial_state": _initial_state,
+    "spectral.freq_tol": partial(_number, strict_min=0.0),
+    "tolerances.positivity": partial(_number, strict_min=0.0),
+    "tolerances.conservation": partial(_number, strict_min=0.0),
+    "output.directory": _nonempty_string,
+    "output.precision": partial(_integer, minimum=1, maximum=17),
+}
+
+
+def _section(cls, raw, name, checks=_CHECKS):
+    """The section dataclass cls read from its JSON object raw.
+
+    Unknown keys are refused first, then the fields are read in order: a
+    given value passes its check, a missing one takes the field's default
+    or, without one, is required.  In a section of TYPE_KEYS the type decides which
+    type-specific keys apply; one that does not must be missing, and reads
+    None.
+    """
+    raw = _object(raw, name, cls)
+    kinds = TYPE_KEYS.get(name, {})
+    typed = {key for keys in kinds.values() for key in keys}
+    values = {}
+    for f in fields(cls):
+        key = f"{name}.{f.name}"
+        if f.name in typed:
+            kind = values["type"]
+            whose = f"{'an' if kind[0] in 'aeiou' else 'a'} {kind} {name}"
+            if f.name not in kinds[kind]:
+                if f.name in raw:
+                    raise ValidationError(f"{key}: not applicable to {whose}")
+                values[f.name] = None
+                continue
+            if kinds[kind][f.name] and f.name not in raw:
+                raise ValidationError(f"{key}: required for {whose}")
+        if f.name in raw:
+            values[f.name] = checks[key](raw[f.name], key)
+        elif f.default is MISSING:
+            raise ValidationError(f"{key}: required")
         else:
-            raise ValidationError(
-                "run.initial_state: expected ground, mixed, site:<k>, or file:<path>"
-            )
-    return RunConfig(t_final=t_final, dt=dt, initial_state=state)
+            values[f.name] = f.default
+    return cls(**values)
 
 
-def _parse_spectral(raw) -> SpectralConfig:
-    if raw is None:
-        return SpectralConfig()
-    raw = _require_dict(raw, "spectral")
-    _reject_unknown(raw, {"freq_tol"}, "spectral")
-    tol = None
-    if "freq_tol" in raw:
-        tol = _number(raw["freq_tol"], "spectral.freq_tol", strict_min=0.0)
-    return SpectralConfig(freq_tol=tol)
+def _parse_model(raw) -> ModelConfig:
+    """The model section; potential and coupling hold one number per site,
+    zeros when missing."""
 
+    def per_site(value, key):  # n_sites is read before them
+        return _array(value, key, raw["n_sites"])
 
-def _parse_tolerances(raw) -> TolerancesConfig:
-    if raw is None:
-        return TolerancesConfig()
-    raw = _require_dict(raw, "tolerances")
-    _reject_unknown(raw, {"positivity", "conservation"}, "tolerances")
-    return TolerancesConfig(
-        positivity=_number(
-            raw.get("positivity", 1e-10), "tolerances.positivity", strict_min=0.0
-        ),
-        conservation=_number(
-            raw.get("conservation", 1e-9), "tolerances.conservation", strict_min=0.0
-        ),
+    checks = {**_CHECKS, "model.potential": per_site, "model.coupling": per_site}
+    model = _section(ModelConfig, raw, "model", checks)
+    zeros = (0.0,) * model.n_sites
+    return replace(
+        model, potential=model.potential or zeros, coupling=model.coupling or zeros
     )
-
-
-def _parse_output(raw) -> OutputConfig:
-    if raw is None:
-        return OutputConfig()
-    raw = _require_dict(raw, "output")
-    _reject_unknown(raw, {"directory", "precision"}, "output")
-    directory = raw.get("directory", "out")
-    if not isinstance(directory, str) or not directory:
-        raise ValidationError("output.directory: expected a nonempty string")
-    precision = 12
-    if "precision" in raw:
-        precision = _integer(raw["precision"], "output.precision", minimum=1)
-        if precision > 17:
-            raise ValidationError("output.precision: must be <= 17")
-    return OutputConfig(directory=directory, precision=precision)
 
 
 def parse_config(path: str) -> Config:
@@ -246,26 +244,24 @@ def parse_config(path: str) -> Config:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, RecursionError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    raw = _require_dict(raw, "config")
-    _reject_unknown(
-        raw, {"model", "bath", "run", "spectral", "tolerances", "output"}, "config"
-    )
+    raw = _object(raw, "config", Config)
     if "model" not in raw:
         raise ValidationError("model: required")
-    return Config(
-        model=_parse_model(raw["model"]),
-        bath=_parse_bath(raw.get("bath")),
-        run=_parse_run(raw.get("run")),
-        spectral=_parse_spectral(raw.get("spectral")),
-        tolerances=_parse_tolerances(raw.get("tolerances")),
-        output=_parse_output(raw.get("output")),
-    )
+    model = _parse_model(raw["model"])
+    # the other sections may be missing or null, and then take their
+    # defaults; each one's default_factory is its dataclass
+    sections = {
+        f.name: _section(f.default_factory, raw[f.name], f.name)
+        for f in fields(Config)[1:]
+        if raw.get(f.name) is not None
+    }
+    return Config(model=model, **sections)
 
 
 def make_kernel(bath: BathConfig):
@@ -321,7 +317,7 @@ def resolve_initial_state(cfg: Config, eig) -> np.ndarray:
             raise ValidationError('run.initial_state: state file needs "re" (and "im")')
         re = _state_block(data["re"])
         im = _state_block(data["im"]) if "im" in data else np.zeros_like(re)
-    except (OSError, OverflowError, ValueError) as exc:
+    except (OSError, OverflowError, RecursionError, ValueError) as exc:
         raise ValidationError(f"run.initial_state: {exc}") from None
     if im.shape != re.shape:
         raise ValidationError(

@@ -168,21 +168,18 @@ def _resonant_quadruples(spectrum: BohrSpectrum):
 
 
 def build_engine(
-    ops: LatticeOperators,
-    eig: EigenSystem,
-    spectrum: BohrSpectrum,
-    gplus: HalfFourierTable,
+    ops: LatticeOperators, coupling: SpectralOperator, gplus: HalfFourierTable
 ) -> JDEngine:
-    """Decompose the coupling, rotate the bond currents and form O_b.
+    """Rotate the bond currents into the eigenbasis of the decomposed
+    coupling (decompose's result for ops.v) and form O_b.
 
-    The coupling is decomposed once and the bond currents are read with
-    its label map, so decompose stays the one binning rule.  Raises
-    MissingFrequency when the half-Fourier table does not cover the
-    spectrum.
+    The bond currents are read with the coupling's label map, so decompose
+    stays the one binning rule.  Raises MissingFrequency when the
+    half-Fourier table does not cover the coupling's spectrum.
     """
+    spectrum = coupling.spectrum
     gplus.value_at(spectrum.frequencies, spectrum.bin_tolerance)
-    coupling = decompose(ops.v, eig, spectrum)
-    currents = eig.to_energy_basis(np.array(ops.j_ops))
+    currents = coupling.eig.to_energy_basis(np.array(ops.j_ops))
     currents.flags.writeable = False
     observables = _observables(coupling, currents, gplus)
     observables.flags.writeable = False

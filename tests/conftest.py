@@ -40,8 +40,9 @@ def make_bundle(
         freq_tol = lc.default_freq_tol(eig)
     spectrum = lc.bohr_frequencies(eig, freq_tol)
     gplus = lc.gplus_table(kernel, spectrum)
-    generator = lc.build_generator(lc.decompose(ops.v, eig, spectrum), gplus, eig)
-    engine = lc.build_engine(ops, eig, spectrum, gplus)
+    coupling = lc.decompose(ops.v, eig, spectrum)
+    generator = lc.build_generator(coupling, gplus, eig)
+    engine = lc.build_engine(ops, coupling, gplus)
     return Bundle(ops, eig, spectrum, kernel, gplus, generator, engine)
 
 

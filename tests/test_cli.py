@@ -314,6 +314,21 @@ def test_verify_builds_the_jd_observables_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_workbench_decomposes_the_coupling_once(tmp_path, monkeypatch):
+    """build_generator and build_engine share one decomposition."""
+    calls = []
+    decompose = cli.decompose
+
+    def spy(*args):
+        calls.append(1)
+        return decompose(*args)
+
+    monkeypatch.setattr(cli, "decompose", spy)
+    monkeypatch.setattr(current, "decompose", spy)
+    cli.build_workbench(parse_config(_config(tmp_path, _reference_payload())))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command", ["simulate", "steady"])
 def test_tables_never_form_the_resonance_index(tmp_path, monkeypatch, command):
     """simulate and steady read the engine's observables only; the

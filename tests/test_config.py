@@ -1,9 +1,15 @@
+import contextlib
+import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lindcur import Exponential, ParseError, Tabulated, ValidationError, WhiteNoise
+from lindcur import Config, Exponential, ParseError, Tabulated, ValidationError, WhiteNoise
+from lindcur import cli, config
 from lindcur.config import make_kernel, parse_config, resolve_initial_state
 from lindcur.linalg import hermitian_eigensystem
 
@@ -140,7 +146,9 @@ def test_numeric_validation(tmp_path):
 
 
 def test_initial_state_syntax(tmp_path):
-    for bad in ("thermal", "site:x", 7):
+    for bad in (
+        "thermal", "site:x", 7, "site:0_1", "site: 1", "site:+1", "site:1" + "0" * 5000,
+    ):
         path = _write(tmp_path, {"model": {"n_sites": 2}, "run": {"initial_state": bad}})
         with pytest.raises(ValidationError, match="run.initial_state"):
             parse_config(path)
@@ -150,6 +158,100 @@ def test_initial_state_syntax(tmp_path):
     )
     with pytest.raises(ValidationError, match="no such file"):
         parse_config(path)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"model": {"n_sites": 2}, "output": {"directory": "\xe9"}}', "can't decode"),
+        (b'{"model": {"n_sites": 2}, "run": ' + b"[" * 10**5 + b"]" * 10**5 + b"}", "recursion"),
+    ],
+    ids=["latin1", "deep"],
+)
+def test_unreadable_content(tmp_path, content, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match=f"cannot read .*{message}"):
+        parse_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"run": {"t_final": 10**400}}, "run.t_final"),
+        ({"bath": {"gamma": -(10**400)}}, "bath.gamma"),
+        ({"model": {"n_sites": 2, "potential": [0, 10**400]}}, r"model.potential\[1\]"),
+    ],
+    ids=["t_final", "gamma", "potential"],
+)
+def test_integer_beyond_float_range_names_its_key(tmp_path, payload, key):
+    payload = {"model": {"n_sites": 2}, **payload}
+    with pytest.raises(ValidationError, match=f"^{key}: int too large"):
+        parse_config(_write(tmp_path, payload))
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ({"model": {"coupling": [1.0], "n_sites": 1}}, "model.n_sites: must be >= 2"),
+        ({"bath": {"omega0": "x", "gamma": -1.0}}, "bath.gamma: must be >= 0.0"),
+        ({"bath": {"file": "k.csv", "kappa": 0.0}}, "bath.kappa: must be > 0.0"),
+        (
+            {"bath": {"type": "white", "file": "k.csv", "kappa": 1.0}},
+            "bath.kappa: not applicable to a white bath",
+        ),
+        (
+            {"bath": {"type": "tabulated", "omega0": 1.0}},
+            "bath.omega0: not applicable to a tabulated bath",
+        ),
+        ({"run": {"initial_state": 7, "dt": 0.0}}, "run.dt: must be > 0.0"),
+        ({"output": {"precision": 0, "directory": ""}}, "output.directory"),
+    ],
+)
+def test_first_error_is_in_field_order(tmp_path, section, message):
+    """Keys are checked in the order of their dataclass fields, whatever
+    their order in the file."""
+    payload = {"model": {"n_sites": 2}, **section}
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        parse_config(_write(tmp_path, payload))
+
+
+# every (section, key) pair, with None standing for the section itself
+SECTION_KEYS = [
+    (section.name, key)
+    for section in dataclasses.fields(Config)
+    for key in [None, *(f.name for f in dataclasses.fields(getattr(config, section.type)))]
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
+    | st.sampled_from([10**400, -(10**400), 2**1024]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(where=st.sampled_from(SECTION_KEYS), value=JSON_VALUES)
+@example(where=("run", "t_final"), value=10**400)
+def test_any_json_value_at_any_key_is_read_or_refused(tmp_path_factory, where, value):
+    """A config with any JSON value as a section, or at any key of one, is
+    read into a Config or refused with a ValidationError, which the command
+    line reports as one line with exit code 1."""
+    section, key = where
+    payload = {"model": {"n_sites": 2}}
+    if key is None:
+        payload[section] = value
+    else:
+        payload.setdefault(section, {})[key] = value
+    path = _write(tmp_path_factory.mktemp("config"), payload)
+    try:
+        assert isinstance(parse_config(path), Config)
+    except ValidationError as exc:
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            assert cli.main(["simulate", "--config", path]) == 1
+        assert stderr.getvalue() == f"ERROR ValidationError: {exc}\n"
 
 
 def test_make_kernel_variants(tmp_path):
@@ -215,6 +317,12 @@ def test_resolve_site_index(tmp_path):
     with pytest.raises(ValidationError, match="outside"):
         resolve_initial_state(cfg, _eig_for(cfg))
 
+    cfg = parse_config(
+        _write(tmp_path, {"model": {"n_sites": 3}, "run": {"initial_state": "site:-1"}})
+    )
+    with pytest.raises(ValidationError, match="outside"):
+        resolve_initial_state(cfg, _eig_for(cfg))
+
 
 def test_resolve_state_file(tmp_path):
     state_path = tmp_path / "state.json"
@@ -257,10 +365,11 @@ def test_resolve_state_file_shape_checked(tmp_path):
         ('{"re": [[0.5, 1%s], [0.0, 0.5]]}' % ("0" * 400), "too large"),
         ('{"re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.3], [0.3, 0.0]]}', "Hermitian"),
         ('{"re": [[1.0, 0.0], [0.0, 1.0]]}', "trace"),
+        ('{"re": %s}' % ("[" * 10**5 + "]" * 10**5), "recursion"),
     ],
     ids=[
         "json", "ragged", "string", "object", "null", "bool", "infinite", "huge_int",
-        "non_hermitian", "trace",
+        "non_hermitian", "trace", "deep",
     ],
 )
 def test_resolve_state_file_rejects_malformed_content(tmp_path, content, message):
