@@ -2,22 +2,27 @@
 
 Run from anywhere:
 
-    python3 bench/pairs.py ROOT_A ROOT_B --pairs 10 --seconds 10
+    python3 bench/pairs.py ROOT_A ROOT_B --pairs 10 --seconds 10 [--first-seed K]
 
 ROOT_A is the base (the parent commit), ROOT_B the change; both are
-repository roots.  Pair i runs
+repository roots.  Pair i (i = 0 .. pairs - 1) runs
 
-    python3 perfbench/run.py --workload all --seed i --seconds S --trace 0
+    python3 perfbench/run.py --workload all --seed K+i --seconds S --trace 0
 
 in each root, one after the other, ROOT_A first on even pairs and ROOT_B
 first on odd ones, so that neither side always runs on a warmer or a
-cooler host.  For every workload and every end-to-end metric that ROOT_A's
+cooler host.  K defaults to 0; a gain found on seeds 0 .. 9 can be
+checked again on held-out seeds, say --first-seed 100.
+
+For every workload and every end-to-end metric that ROOT_A's
 BENCHMARK.json lists, it then prints each side's median and quartiles over
 the pairs, the pairs that the change wins, whether the medians differ by
 more than the base's interquartile range, and whether the change is worse
 than the base by more than the metric's bound.  Runs that the benchmark
 counts as failed are printed per side.  Seeds 16, 34 and 164 make verify
-fail on every checkout (see ROADMAP.md), so keep --pairs at 16 or less.
+fail on every checkout (see ROADMAP.md), so choose K and --pairs so that
+the seeds K .. K + pairs - 1 avoid them: K = 0 with 16 pairs or less, or
+K = 100 with up to 64.
 """
 from __future__ import annotations
 
@@ -39,6 +44,15 @@ def run_side(root: str, seed: int, seconds: float) -> dict:
     ]
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def schedule(first_seed: int, pairs: int) -> list:
+    """(seed, order) of each pair: the seeds first_seed onward, the base
+    first on even pairs and the change first on odd ones."""
+    return [
+        (first_seed + i, ("base", "change") if i % 2 == 0 else ("change", "base"))
+        for i in range(pairs)
+    ]
 
 
 def verdict(base: list, change: list, better: str, bound: float) -> dict:
@@ -76,13 +90,13 @@ def main(argv=None) -> int:
     parser.add_argument("change", help="repository root of the changed checkout")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--first-seed", type=int, default=0)
     args = parser.parse_args(argv)
     roots = {side: os.path.abspath(getattr(args, side)) for side in ("base", "change")}
     with open(os.path.join(roots["base"], "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     results = {"base": [], "change": []}
-    for seed in range(args.pairs):
-        order = ("base", "change") if seed % 2 == 0 else ("change", "base")
+    for seed, order in schedule(args.first_seed, args.pairs):
         for side in order:
             result = run_side(roots[side], seed, args.seconds)
             results[side].append(result)

@@ -327,8 +327,10 @@ def run_simulate(cfg: Config) -> int:
     The states are reported and written a block of CSV_BLOCK // N of them
     at a time and then dropped, so memory does not depend on the horizon.
     """
+    rho0 = resolve_initial_state(cfg)  # ground needs the model, and comes after it
     wb = build_workbench(cfg)
-    rho0 = resolve_initial_state(cfg, wb.eig)
+    if rho0 is None:
+        rho0 = resolve_initial_state(cfg, wb.eig)
     N = cfg.model.n_sites
     with _open_tables(cfg.output.directory, cfg.output.precision) as write:
         columns = continuity_columns(wb.generator, wb.ops, wb.engine)
@@ -474,6 +476,7 @@ def run_verify(cfg: Config, suite: str) -> int:
             file=sys.stderr,
         )
         return 3
+    resolve_initial_state(cfg)  # a bad state fails before the build
     wb = build_workbench(cfg)
     checks = []
     if suite in ("continuity", "all"):

@@ -288,17 +288,21 @@ def _state_block(raw) -> np.ndarray:
     return block.astype(float)
 
 
-def resolve_initial_state(cfg: Config, eig) -> np.ndarray:
-    """Density matrix named by run.initial_state.
+def resolve_initial_state(cfg: Config, eig=None) -> np.ndarray | None:
+    """Density matrix named by run.initial_state; ground, the one state
+    that needs the eigensystem eig, reads None without it.
 
-    A file: state that is unreadable, not numeric, or not a finite,
-    Hermitian, unit-trace N x N matrix raises ValidationError.
+    A file: state that is unreadable, not numeric, has a key other than
+    re and im, or is not a finite, Hermitian, unit-trace N x N matrix
+    raises ValidationError.
     """
     N = cfg.model.n_sites
     state = cfg.run.initial_state
     if state == "mixed":
         return np.eye(N, dtype=complex) / N
     if state == "ground":
+        if eig is None:
+            return None
         u = eig.basis[:, 0]
         return np.outer(u, u.conj())
     if state.startswith("site:"):
@@ -315,6 +319,9 @@ def resolve_initial_state(cfg: Config, eig) -> np.ndarray:
             data = json.load(fh)
         if not isinstance(data, dict) or "re" not in data:
             raise ValidationError('run.initial_state: state file needs "re" (and "im")')
+        extra = set(data) - {"re", "im"}
+        if extra:
+            raise ValidationError(f"run.initial_state: unknown key {min(extra)!r}")
         re = _state_block(data["re"])
         im = _state_block(data["im"]) if "im" in data else np.zeros_like(re)
     except (OSError, OverflowError, RecursionError, ValueError) as exc:

@@ -32,10 +32,14 @@ from .lattice import LatticeOperators, discrete_divergence
 from .linalg import EigenSystem
 from .lindblad import (
     CHUNK_BYTES,
+    TAIL_BYTES,
     LindbladGenerator,
     Trajectory,
+    _frame_energies,
     apply_adjoint,
+    endpoint_factor,
     sampled_window,
+    tail_weights,
     triangle_convolution,
 )
 from .reservoir import CorrelationKernel, HalfFourierTable
@@ -314,46 +318,46 @@ def jd_finite_time_oracle(
     (exp(i w s) - 1)/(i w).  Each energy-basis entry of J_b carries the
     phase factor of its own bin (decompose's labels; no selection rule
     enters).  The inner integral is triangle_convolution's per-bin running
-    trapezoid, and the window is walked in the chunks of sampled_window.
-    The values approach jd_expectation as t grows, with a 1/t envelope.
+    trapezoid.  The values approach jd_expectation as t grows, with a 1/t
+    envelope.
 
     The integrand is evaluated in sampled_window's rotating frame.  With
     P = diag(u_s), V_s = P V conj(P) and C_s = P R_s conj(P) (R_s from
     triangle_convolution), so
 
         D_s = C_s rho V_s - V_s C_s rho = P E_s,
-        E_s = (Y_s P) V conj(P) - V Y_s,   Y_s = R_s conj(P) rho:
+        E_s = (Y_s P) V conj(P) - V Y_s,   Y_s = R_s conj(P) rho.
 
-    three products with the constant rho and V between O(N^2) elementwise
-    phases per sample.  Entry (i, j) of Z's phase factor times the u_j that
-    D_ji takes from P is (u_i - u_j)/(i w), so every bond is traced against
-    E_s in one (N - 1, N^2) @ (N^2, chunk) product.  The frame phase of
-    entry (i, j) is its bin's to rounding where bins are additive, and
-    within 3 bin_tolerance s of it otherwise.
+    Entry (i, j) of Z's phase factor times the u_j that D_ji takes from P
+    is (u_i - u_j) J'_b,ij with J'_b = J_b / (i w), 0 on the zero bin, so
+    the integrand is f_b(s) = sum_ij J'_b,ij (u_i - u_j) E_s,ji.  The frame
+    phase of entry (i, j) is its bin's to rounding where bins are additive,
+    and within 3 bin_tolerance s of it otherwise.
 
-    t is one window length or a sorted 1-D array of them.  The integrand
-    does not depend on the window length, so the grid of the longest
-    window is walked once and the outer trapezoid is kept as a running
-    sum; the value of each requested length is read off at the grid point
-    nearest to it.  A chunk holds 3 (N, N) stacks per sample, R, Y and E,
-    allocated once per call at the first chunk's size and filled in place
-    (the per-bin sums of triangle_convolution, the phase factor, the
-    broadcast copies of u, conj(u) and 1/(i w) that keep every product
-    free of broadcast operands, the integrand and its running sums reuse
-    them); with sampled_window's phases that fits CHUNK_BYTES
-    (window_chunk).  Besides it memory is O(bins + len(t) (N - 1))
-    whatever the lengths are.  For a scalar t returns the (N-1,) values of
-    that window; for an array returns (times, values): the grid times
-    used, shape (T,), and one row of values per time, shape (T, N-1).
-    The input checks of sampled_window apply; every t must reach the
-    averaging horizon.
+    The samples are walked up to sampled_window's n_star, the kernel's
+    memory time s* (_oracle_head); from there on R_s is constant and the
+    rest of each window is summed in closed form (_oracle_tail).  A window
+    costs about s*/dt samples and then O(N^4), whatever its length.
+
+    t is one window length or a sorted 1-D array of them, all read off the
+    one walk at the grid point nearest to each length.  A chunk of the walk
+    holds 3 (N, N) stacks per sample, R, Y and E, allocated once per call
+    at the first chunk's size and filled in place (the per-bin sums of
+    triangle_convolution, the broadcast copies of u and conj(u) that keep
+    every product free of broadcast operands, the integrand and its
+    running sums reuse them); with sampled_window's phases that fits
+    CHUNK_BYTES (window_chunk).  For a scalar t returns the (N-1,) values
+    of that window; for an array returns (times, values): the grid times
+    used, shape (T,), and one row of values per time, shape (T, N-1).  The
+    input checks of sampled_window apply; every t must reach the averaging
+    horizon.
     """
     rho = np.asarray(rho, dtype=complex)
     N = eig.dimension
     if rho.shape != (N, N):
         raise DimensionMismatch(f"state shape {rho.shape} vs dimension {N}")
     coupling = decompose(ops.v, eig, spectrum)
-    h, ends, chunks = sampled_window(coupling, kernel, t, dt, 3)
+    h, ends, n_star, chunks = sampled_window(coupling, kernel, t, dt, 3)
     freqs = spectrum.frequencies
     nonzero = np.abs(freqs) > spectrum.bin_tolerance
     if np.any(nonzero):
@@ -363,16 +367,38 @@ def jd_finite_time_oracle(
             raise ValueError(
                 f"t={shortest:.3g} is below the averaging horizon {horizon:.3g}"
             )
-    V = coupling.source
     rho_en = eig.to_energy_basis(rho)
     J_en = eig.basis.conj().T @ np.array(ops.j_ops) @ eig.basis
-    # row b, column (j, i): J_b[i, j], against entry (j, i) of D_s Z
-    J_rows = J_en.transpose(0, 2, 1).reshape(N - 1, N * N)
-    # entry [j, i]: 1/(i w) of the bin of (i, j), 0 on the zero bin
-    entry_nonzero = nonzero[coupling.labels].T
+    # J'_b[i, j] = J_b[i, j] / (i w) of the bin of (i, j), 0 on the zero bin
+    entry_nonzero = nonzero[coupling.labels]
     inv_iw = np.zeros((N, N), dtype=complex)
-    inv_iw[entry_nonzero] = 1.0 / (1j * freqs[coupling.labels].T[entry_nonzero])
-    totals = np.empty((len(ends), N - 1), dtype=complex)
+    inv_iw[entry_nonzero] = 1.0 / (1j * freqs[coupling.labels][entry_nonzero])
+    J_rate = J_en * inv_iw
+    totals, R = _oracle_head(
+        coupling, rho_en, J_rate, h, np.minimum(ends, n_star), chunks
+    )
+    late = ends > n_star
+    if np.any(late):
+        eps = _frame_energies(coupling)
+        totals[late] += _oracle_tail(
+            coupling.source, rho_en, J_rate, R, eps, h, n_star, ends[late] - n_star
+        )
+    used = h * ends
+    values = 2.0 * (-totals / used[:, None]).real
+    if np.ndim(t) == 0:
+        return values[0]
+    return used, values
+
+
+def _oracle_head(coupling, rho_en, J_rate, h, walked, chunks):
+    """The oracle's trapezoid h sum' f_b over the walked samples, read off at
+    each grid index of walked, shape (len(walked), N - 1), and R at the
+    last sample."""
+    N = len(rho_en)
+    V = coupling.source
+    # row b, column (j, i): J'_b[i, j], against entry (j, i) of D_s Z
+    J_rows = J_rate.transpose(0, 2, 1).reshape(N - 1, N * N)
+    totals = np.empty((len(walked), N - 1), dtype=complex)
     running = np.zeros(N - 1, dtype=complex)  # integrand summed over the samples walked
     head = None  # the integrand at s = 0
     carry = None
@@ -388,6 +414,7 @@ def jd_finite_time_oracle(
         E = E_buf[: N * N * S].reshape(N, N, S)
         ubar = u.conj()
         R, carry = triangle_convolution(coupling, phase, g, h, carry, R_buf, YE_buf)
+        R_last = R[:, :, -1].copy()
         # every factor that varies along some axes only is broadcast-copied
         # into a free stack first: numpy's buffered loop would copy a
         # broadcast operand of a small product
@@ -401,12 +428,10 @@ def jd_finite_time_oracle(
         E *= R
         np.matmul(V, Y.reshape(N, -1), out=R.reshape(N, -1))
         E -= R
-        # Y becomes the phase factor of entry [j, i], (u_i - u_j) / (i w)
+        # Y becomes entry [j, i] of the phase factor, u_i - u_j
         Y[...] = u[None, :, :]
         R[...] = u[:, None, :]
         Y -= R
-        R[...] = inv_iw[:, :, None]
-        Y *= R
         E *= Y
         # R and then Y are free: the integrand and its running sums
         integrand = R_buf[: (N - 1) * S].reshape(N - 1, S)
@@ -418,16 +443,78 @@ def jd_finite_time_oracle(
         offset = E_buf[: (N - 1) * S].reshape(N - 1, S)
         offset[...] = running[:, None]
         sums += offset
-        here = (ends >= start) & (ends < start + S)
-        k = ends[here] - start
+        here = (walked >= start) & (walked < start + S)
+        k = walked[here] - start
         totals[here] = (h * (sums[:, k] - 0.5 * (head[:, None] + integrand[:, k]))).T
         running = sums[:, -1].copy()
         start += S
-    used = h * ends
-    values = 2.0 * (-totals / used[:, None]).real
-    if np.ndim(t) == 0:
-        return values[0]
-    return used, values
+    return totals, R_last
+
+
+def _oracle_tail(V, rho, J_rate, R, eps, h, first, steps):
+    """The trapezoid of the oracle's integrand over the grid points first to
+    first + m, for each m of steps, where R_s is the constant R: shape
+    (len(steps), N - 1).
+
+    Past the kernel's memory, with rho, V and R in the energy basis and
+    w_ab = eps_a - eps_b,
+
+        f_b(s) = sum_ab Q_b,ab exp(i w_ab s)
+                 - sum_ijkl J'_b,ij V_ki R_jl rho_lk exp(i (w_ji + w_kl) s),
+        Q_b = (V J'_b R) o rho^T - (J'_b V R) o rho^T + (V R) o (rho J'_b)^T,
+
+    the first three terms of E_s against Z at one frame frequency each and
+    the fourth, the Cauchy term, at a pair of them.  Its N^4 coefficient
+    does not depend on the bond: it is taken in pieces of CHUNK_BYTES of
+    rows (i, j), each summed over (k, l) and traced against J'_b,ij.
+
+    A piece sums coef[r, c] tail_weights(x_r + w_c, h, first, m) over its
+    columns c, x_r being 0 for Q and w_ji for the Cauchy term.  Where the
+    phase winds by a radian or more over the longest tail, the weight is
+    endpoint_factor times exp(i w s_m) - exp(i w s_first), which splits
+    over r and c into one product with the (N^2, len(steps) + 1) phases
+    exp(i w_c s).  A zero frequency weighs h m; the few others take
+    tail_weights entry by entry.
+    """
+    N = len(eps)
+    omega = (eps[:, None] - eps[None, :]).ravel()  # flat (a, b): w_ab
+    times = h * (first + np.concatenate([[0], steps]))
+    phases = np.exp(1j * np.multiply.outer(omega, times))
+    longest = np.max(steps)
+
+    def summed(coef, x):
+        w = x[:, None] + omega
+        theta = w * h
+        resolved = np.abs(theta) * longest >= 1.0
+        factor = endpoint_factor(theta, h)
+        factor[~resolved] = 0.0
+        factor *= coef
+        sums = factor @ phases
+        sums *= np.exp(1j * np.multiply.outer(x, times))
+        out = sums[:, 1:] - sums[:, :1]
+        # a zero frequency weighs h m
+        still = theta == 0.0
+        out += np.multiply.outer(np.where(still, coef, 0.0).sum(axis=1), h * steps)
+        r, c = np.nonzero(~(resolved | still))
+        weights = tail_weights(w[r, c][:, None], h, first, steps)
+        np.add.at(out, r, coef[r, c][:, None] * weights)
+        return out
+
+    VR = V @ R
+    Q = (V @ J_rate @ R - J_rate @ VR) * rho.T + VR * (rho @ J_rate).transpose(0, 2, 1)
+    # a piece's coefficients and their kin, and three (rows, len(times)) sums
+    rows = max(1, CHUNK_BYTES // (TAIL_BYTES * N * N + 48 * len(times)))
+    tail = np.empty((len(steps), N - 1), dtype=complex)
+    for b in range(0, N - 1, rows):
+        coef = Q[b : b + rows].reshape(-1, N * N)
+        tail[:, b : b + rows] = summed(coef, np.zeros(len(coef))).T
+    J_rows = J_rate.reshape(N - 1, N * N)
+    for r in range(0, N * N, rows):
+        piece = slice(r, min(r + rows, N * N))
+        i, j = np.divmod(np.arange(N * N)[piece], N)
+        coef = V.T[i][:, :, None] * R[j][:, None, :] * rho.T  # [(i, j), k, l]
+        tail -= (J_rows[:, piece] @ summed(coef.reshape(-1, N * N), -omega[piece])).T
+    return tail
 
 
 def divergence_identity_check(

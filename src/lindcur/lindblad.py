@@ -40,6 +40,7 @@ from .reservoir import (
     CorrelationKernel,
     HalfFourierTable,
     WhiteNoise,
+    memory_time,
     resolution_bound,
     sample_kernel,
 )
@@ -56,6 +57,8 @@ KERNEL_CUTOFF = 1e-10
 # CheckpointedStates keeps) and continuity_report's pieces of states
 CHUNK_BYTES = 1 << 20
 WINDOW_FLOOR = 128  # samples per chunk of a finite window, at least
+# working bytes per entry of a piece of a finite window's closed-form tail
+TAIL_BYTES = 128
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,8 @@ class LindbladGenerator:
     holds; dimension is eig's.  _block_runs adds the coherent part.
     full_matrix() and the three SuperOperator properties are dense
     site-basis views on column-stacked operators, formed on each access;
-    no library path reads them.
+    of the library only verify's pre-Lindblad checks read one
+    (dissipator.matrix, the reference of cli._prelindblad_checks).
     """
 
     eig: EigenSystem = field(repr=False)
@@ -752,15 +756,25 @@ def sampled_window(
     V: SpectralOperator, k: CorrelationKernel, t, dt: float, stacks: int
 ):
     """The grid of the longest of the windows t, streamed in chunks with its
-    phases.
+    phases up to the kernel's memory time.
 
     t is one window length or a sorted 1-D array of them.  The grid has
     n = max(2, ceil(t_max/dt)) steps h = t_max/n over [0, t_max].  Returns
-    (h, ends, chunks): ends[q] = max(1, rint(t_q/h)) is the grid index at
-    which window q ends, and chunks yields (s, g, phase, u) for consecutive
-    runs of grid points s_k = h k, with g the kernel, phase = exp(i w s) for
-    every bin frequency w, shape (bins, chunk), and u = exp(i eps s) for
-    the frame energies eps of _frame_energies, shape (N, chunk).
+    (h, ends, n_star, chunks): ends[q] = max(1, rint(t_q/h)) is the grid
+    index at which window q ends, n_star = min(n, floor(s*/h) + 1) with s*
+    the kernel's memory_time (raised by one where s*/h rounds down onto an
+    integer), and chunks yields (s, g, phase, u) for consecutive runs of
+    the grid points s_k = h k, k <= n_star, with g the kernel,
+    phase = exp(i w s) for every bin frequency w, shape (bins, chunk), and
+    u = exp(i eps s) for the frame energies eps of _frame_energies, shape
+    (N, chunk).
+
+    From s_{n_star} on g reads exactly 0 or less than 2^-53 |g(0)|, so the
+    inner integral of triangle_convolution stops changing there and each
+    quadrature's integrand is a sum of pure exponentials exp(i Omega s) in
+    the frame: past n_star the quadratures sum their trapezoid in closed
+    form with tail_weights instead of drawing samples.  A pass therefore
+    draws at most floor(s*/h) + 2 samples, whatever the window is.
 
     u is the rotating frame of the interaction picture: the energy-basis
     coupling at s is V_s = diag(u) V diag(conj u), entry (i, j) carrying
@@ -780,10 +794,12 @@ def sampled_window(
     caller holds while it works on a chunk.  With the step table and the
     phases (bins + N each), the conjugate of u that the quadratures take
     (N) and s, g and their kin (4), that is
-    16 (stacks N^2 + 2 (bins + N) + N + 4) bytes per sample, and a chunk
-    is window_chunk of that many samples (the first chunk is the longest):
-    the whole working set of a chunk fits in CHUNK_BYTES, down to
-    WINDOW_FLOOR samples, whatever the window is.
+    16 (stacks N^2 + 2 (bins + N) + N + 4) bytes per sample.  The walk is
+    cut into as few chunks as window_chunk of that many samples allows,
+    all of one length but the last, which may be shorter (the first chunk
+    is the longest): the whole working set of a chunk fits in CHUNK_BYTES,
+    down to WINDOW_FLOOR samples, whatever the window is, and a walk a
+    little longer than one chunk takes buffers of about half a chunk.
     The one sampled pipeline of both finite-window quadratures.
 
     Raises, before any sample is taken, PointwiseUndefined, ValueError (t
@@ -810,17 +826,24 @@ def sampled_window(
     n = max(2, math.ceil(lengths[-1] / dt))
     h = lengths[-1] / n
     ends = np.maximum(np.rint(lengths / h).astype(int), 1)
+    memory = memory_time(k)
+    n_star = math.floor(memory / h) + 1
+    if h * n_star <= memory:  # s_k = h k, as the chunks compute it
+        n_star += 1
+    n_star = min(n, n_star)
     N = V.eig.dimension
     rates = np.concatenate([V.spectrum.frequencies, _frame_energies(V)])
-    size = min(n + 1, window_chunk(16 * (stacks * N * N + 2 * len(rates) + N + 4)))
+    largest = window_chunk(16 * (stacks * N * N + 2 * len(rates) + N + 4))
+    # as few chunks as the largest allows, of equal length
+    size = -(-(n_star + 1) // -(-(n_star + 1) // largest))
     steps = np.multiply.outer(rates, h * np.arange(size)) * 1j
     np.exp(steps, out=steps)
     buffer = np.empty(steps.size, dtype=complex)
     bins = len(V.spectrum)
 
     def chunks():
-        for start in range(0, n + 1, size):
-            s = h * np.arange(start, min(start + size, n + 1))
+        for start in range(0, n_star + 1, size):
+            s = h * np.arange(start, min(start + size, n_star + 1))
             phases = buffer[: len(rates) * len(s)].reshape(len(rates), len(s))
             # the first phases are spread over the chunk before the product,
             # which then takes no broadcast operand (numpy's buffered loop
@@ -834,7 +857,45 @@ def sampled_window(
                     np.multiply(step[: len(s)], row, out=row)
             yield s, sample_kernel(k, s), phases[:bins], phases[bins:]
 
-    return h, ends, chunks()
+    return h, ends, n_star, chunks()
+
+
+def endpoint_factor(theta, h: float) -> np.ndarray:
+    """h (1 + exp(i theta)) / (2 (exp(i theta) - 1)) = -(i h / 2) cot(theta / 2)
+    for each phase step theta, and 0 where theta is 0.
+
+    Where theta != 0 the trapezoid weights of exp(i Omega s) over the grid
+    points a..b are this factor times exp(i Omega s_b) - exp(i Omega s_a),
+    with theta = Omega h (tail_weights).  Both parts of the cotangent come
+    from one complex exp, which keeps sin(theta / 2) accurate for small
+    theta."""
+    theta = np.asarray(theta, dtype=float)
+    half = np.exp(0.5j * theta)
+    return -0.5j * h * half.real / np.where(theta == 0.0, np.inf, half.imag)
+
+
+def tail_weights(omega, h: float, first: int, steps) -> np.ndarray:
+    """The trapezoid weights h sum'_{k=first}^{first+m} exp(i omega h k) on
+    the grid s_k = h k, sum' halving both end terms, for every frequency of
+    omega and count m of steps (broadcast against each other).
+
+    The sum is geometric: h exp(i omega s_first) G(omega h, m) with
+
+        G(theta, m) = (1 + e^{i theta}) / 2 (e^{i theta m} - 1) / (e^{i theta} - 1),
+
+    and G(0, m) = m.  With e^{i theta m} - 1 = 2i sin(theta m / 2)
+    e^{i theta m / 2}, the sine taken from a complex exp, the form stays
+    accurate where theta m is small.  It is the grid sum a walk over the
+    samples takes, in closed form, so the two differ by rounding.  Both
+    finite-window quadratures sum their integrand past the kernel's memory
+    with it (sampled_window).
+    """
+    omega = np.asarray(omega, dtype=float)
+    theta = omega * h
+    turn = np.exp(0.5j * theta * steps)
+    weights = np.exp(1j * (h * first) * omega) * turn
+    weights *= 2j * turn.imag * endpoint_factor(theta, h)
+    return np.where(theta == 0.0, h * np.asarray(steps, dtype=float), weights)
 
 
 def triangle_convolution(
@@ -929,18 +990,28 @@ def pre_lindblad_generator(V: SpectralOperator, k: CorrelationKernel, delta, dt:
     The map is accumulated in the energy basis, in sampled_window's
     rotating frame: with Phi_ij = u_i conj(u_j) (exactly 1 where
     eps_i = eps_j) every factor of the four terms is Phi times C, V, V C or
-    C V, so the only products are with the constant V.  The terms of each
-    sample are written in place into two (N, N, chunk, 4) buffers, side by
-    side on the summed axis, so their nearly cancelling products are added
-    next to each other; the result is rotated to the site basis once, with
-    kron(conj U, U).  A chunk holds 11 (N, N) stacks per sample: the two
-    term buffers, R, its product with V and Phi, all allocated once per
-    call at the first chunk's size and filled in place (the product with
-    V also takes the broadcast copies that keep every product free of
-    broadcast operands, and the second term buffer is the convolutions'
-    work); with sampled_window's phases that fits CHUNK_BYTES
-    (window_chunk).  Besides it only the (T, N^2, N^2) result and two
-    N^2 x N^2 sums are held, whatever delta is.
+    C V, so the only products are with the constant V.  The window is
+    split at sampled_window's n_star, the kernel's memory time.  Up to it
+    the terms of each sample are written in place into two (N, N, chunk, 4)
+    buffers, side by side on the summed axis, so their nearly cancelling
+    products are added next to each other (_map_head).  From it on C and
+    its conjugate counterpart are constants R and Rbar in the frame, so
+    entry [(l, j), (i, k)] of the map is entry [(l, j), (i, k)] of one
+    unit-weight sample of (R, -V R, V, -1) and (V, 1, Rbar, Rbar V) times
+    the phase sum at w_lj + w_ik, w_ab = eps_a - eps_b, which tail_weights
+    gives in closed form: a window costs about s*/dt samples, and past
+    them O(N^4), whatever its length.  The result is rotated to the site
+    basis once, with kron(conj U, U).
+
+    A chunk holds 11 (N, N) stacks per sample: the two term buffers, R, its
+    product with V and Phi, all allocated once per call at the first
+    chunk's size and filled in place (the product with V also takes the
+    broadcast copies that keep every product free of broadcast operands,
+    and the second term buffer is the convolutions' work); with
+    sampled_window's phases that fits CHUNK_BYTES (window_chunk).  The
+    closed-form sum takes rows of the map in pieces of CHUNK_BYTES once
+    the walk's buffers are released.  Besides them only the (T, N^2, N^2)
+    result and two N^2 x N^2 sums are held, whatever delta is.
 
     delta is one window length or a sorted 1-D array of them.  The
     integrand does not depend on the window length, so the longest window
@@ -951,15 +1022,49 @@ def pre_lindblad_generator(V: SpectralOperator, k: CorrelationKernel, delta, dt:
     used, shape (T,), and such matrices, shape (T, N^2, N^2).  The input
     checks of sampled_window apply.
     """
-    h, ends, chunks = sampled_window(V, k, delta, dt, 11)
+    h, ends, n_star, chunks = sampled_window(V, k, delta, dt, 11)
+    N = V.eig.dimension
+    eps = _frame_energies(V)
+    snapshots, R, Rbar = _map_head(V, eps, h, np.minimum(ends, n_star), chunks)
+    late = np.flatnonzero(ends > n_star)
+    if len(late):
+        a = np.stack([R, -V.source @ R, V.source, -np.eye(N)], axis=-1)
+        b = np.stack([V.source, np.eye(N), Rbar, Rbar @ V.source], axis=-1)
+        unit = _map_sum(a[:, :, None], b[:, :, None], np.empty((N * N, N * N), complex))
+        omega = (eps[:, None] - eps[None, :]).ravel()
+        rows = max(1, CHUNK_BYTES // (TAIL_BYTES * N * N))
+        for r in range(0, N * N, rows):
+            part = slice(r, r + rows)
+            for q in late:
+                weights = tail_weights(
+                    omega[part, None] + omega, h, n_star, ends[q] - n_star
+                )
+                weights *= unit[part]
+                snapshots[q, part] += weights
+    lengths = h * ends
+    K = np.kron(V.eig.basis.conj(), V.eig.basis)
+    # each raw is a copy (the transpose does not reshape as a view), so the
+    # site-basis map is written back over its own snapshot
+    for q, raw in enumerate(snapshots):
+        raw = raw.reshape(N, N, N, N).transpose(1, 2, 0, 3).reshape(N * N, N * N)
+        snapshots[q] = K @ (raw / lengths[q]) @ K.conj().T
+    if np.ndim(delta) == 0:
+        return snapshots[0]
+    return lengths, snapshots
+
+
+def _map_head(V: SpectralOperator, eps: np.ndarray, h: float, walked, chunks):
+    """The map's running sum over the walked samples, read off at each
+    grid index of walked with that sample at half weight, in the energy
+    basis with rows (l, j) and columns (i, k): shape (T, N^2, N^2).  Also
+    returns R and Rbar, the two convolutions at the last sample."""
     N = V.eig.dimension
     src = V.source
-    eps = _frame_energies(V)
     same = eps[:, None] == eps[None, :]
     ident = np.eye(N, dtype=complex)[:, :, None]
     M = np.zeros((N * N, N * N), dtype=complex)  # rows (l, j), columns (i, k)
     product = np.empty_like(M)
-    snapshots = np.empty((len(ends), N * N, N * N), dtype=complex)
+    snapshots = np.empty((len(walked), N * N, N * N), dtype=complex)
     A = None
     carry = carry_bar = None
     start = 0
@@ -987,6 +1092,7 @@ def pre_lindblad_generator(V: SpectralOperator, k: CorrelationKernel, delta, dt:
         phi *= tmp
         phi[same] = 1.0
         R, carry = triangle_convolution(V, phase, g, h, carry, R_buf, B)
+        R_last = R[:, :, -1].copy()
         tmp[...] = w
         R *= tmp
         np.multiply(phi, R, out=a[..., 0])
@@ -999,6 +1105,7 @@ def pre_lindblad_generator(V: SpectralOperator, k: CorrelationKernel, delta, dt:
         R, carry_bar = triangle_convolution(
             V, phase, np.conj(g), h, carry_bar, R_buf, B
         )
+        Rbar_last = R[:, :, -1].copy()
         tmp[...] = w
         R *= tmp
         b[..., 0] = a[..., 2]
@@ -1007,23 +1114,15 @@ def pre_lindblad_generator(V: SpectralOperator, k: CorrelationKernel, delta, dt:
         np.matmul(src.T, R, out=tmp)
         np.multiply(phi, tmp, out=b[..., 3])
         lo = 0
-        for end in sorted(set(ends[(ends >= start) & (ends < start + S)].tolist())):
+        here_ends = walked[(walked >= start) & (walked < start + S)]
+        for end in sorted(set(here_ends.tolist())):
             # the window ending at this sample takes it with half its weight
             here = end - start
             M += _map_sum(a[:, :, lo:here], b[:, :, lo:here], product)
             last = _map_sum(a[:, :, here : here + 1], b[:, :, here : here + 1], product)
-            snapshots[ends == end] = M + 0.5 * last
+            snapshots[walked == end] = M + 0.5 * last
             M += last
             lo = here + 1
         M += _map_sum(a[:, :, lo:], b[:, :, lo:], product)
         start += S
-    lengths = h * ends
-    K = np.kron(V.eig.basis.conj(), V.eig.basis)
-    # each raw is a copy (the transpose does not reshape as a view), so the
-    # site-basis map is written back over its own snapshot
-    for q, raw in enumerate(snapshots):
-        raw = raw.reshape(N, N, N, N).transpose(1, 2, 0, 3).reshape(N * N, N * N)
-        snapshots[q] = K @ (raw / lengths[q]) @ K.conj().T
-    if np.ndim(delta) == 0:
-        return snapshots[0]
-    return lengths, snapshots
+    return snapshots, R_last, Rbar_last

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +133,20 @@ def decay_rate(k: CorrelationKernel) -> float:
     below = np.nonzero(mags < mags[0] / np.e)[0]
     tau_e = k.times[below[0]] if len(below) else k.times[-1]
     return 1.0 / max(tau_e, 1e-300)
+
+
+def memory_time(k: CorrelationKernel) -> float:
+    """The lag s* from which the sampled kernel no longer counts.
+
+    53 ln 2 / kappa for an exponential kernel, where |g| falls to 2^-53
+    |g(0)|, and the last sample time of a tabulated one, beyond which
+    sample_kernel reads 0.  White noise has no memory: 0.
+    """
+    if isinstance(k, Exponential):
+        return 53.0 * math.log(2.0) / k.kappa
+    if isinstance(k, WhiteNoise):
+        return 0.0
+    return float(k.times[-1])
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from hypothesis import reject
 from hypothesis import strategies as st
 
 import lindcur as lc
+from lindcur import current, lindblad
 
 
 @dataclasses.dataclass(frozen=True)
@@ -191,3 +192,26 @@ def two_level():
         hopping=5.0,
         kernel=lc.Exponential(gamma=0.1, kappa=1.0, omega=0.0),
     )
+
+
+@pytest.fixture
+def sample_draws(monkeypatch):
+    """[h, samples] of every finite-window pass made while the test runs:
+    the grid step and the samples sampled_window's chunks held."""
+    draws = []
+    sampled_window = lindblad.sampled_window
+
+    def spy(V, k, t, dt, stacks):
+        h, ends, n_star, chunks = sampled_window(V, k, t, dt, stacks)
+        draws.append([h, 0])
+
+        def counted():
+            for chunk in chunks:
+                draws[-1][1] += len(chunk[0])
+                yield chunk
+
+        return h, ends, n_star, counted()
+
+    monkeypatch.setattr(lindblad, "sampled_window", spy)
+    monkeypatch.setattr(current, "sampled_window", spy)
+    return draws

@@ -19,6 +19,7 @@ from lindcur.config import parse_config
 from lindcur.current import ContinuityReport
 from lindcur.errors import PositivityLost
 from lindcur.lindblad import LindbladGenerator
+from lindcur.reservoir import memory_time
 
 CHECK_LINE = re.compile(
     r"^CHECK (\S+) measured=(-?\d\.\d{6}e[+-]\d{2,3})"
@@ -264,25 +265,11 @@ def test_oracle_checks_pass_on_uniform_chains(tmp_path_factory, coupling):
     assert all(c.passed for c in checks), checks
 
 
-def test_verify_walks_each_finite_window_ladder_once(tmp_path, monkeypatch):
+def test_verify_walks_each_finite_window_ladder_once(tmp_path, sample_draws):
     """The oracle and pre-Lindblad checks each read their whole ladder off
-    one sampled pass over its longest window."""
-    draws = []
-    sampled_window = lindblad.sampled_window
-
-    def spy(V, k, t, dt, stacks):
-        h, ends, chunks = sampled_window(V, k, t, dt, stacks)
-        draws.append([np.max(t), 0])
-
-        def counted():
-            for chunk in chunks:
-                draws[-1][1] += len(chunk[0])
-                yield chunk
-
-        return h, ends, counted()
-
-    monkeypatch.setattr(lindblad, "sampled_window", spy)
-    monkeypatch.setattr(current, "sampled_window", spy)
+    one sampled pass, which stops at the kernel's memory time: at most
+    floor(s*/h) + 2 samples, however long the ladder is."""
+    draws = sample_draws
     wb = cli.build_workbench(
         parse_config(_config(tmp_path, _uniform_chain([0.3, -0.8, 0.5, 0.9])))
     )
@@ -290,10 +277,14 @@ def test_verify_walks_each_finite_window_ladder_once(tmp_path, monkeypatch):
     assert len(draws) == 1
     cli._prelindblad_checks(wb)
     assert len(draws) == 2
-    longest, samples = draws[1]
-    n_longest = math.ceil(longest / cli._oracle_quadrature_dt(wb))
-    assert longest == max(cli.PRELINDBLAD_LADDER) / wb.kernel.kappa
-    assert samples == n_longest + 1
+    memory = memory_time(wb.kernel)
+    for h, samples in draws:
+        assert samples <= math.floor(memory / h) + 2
+    # the oracle's ladder reaches beyond the memory time, the map's longest
+    # window too
+    h, samples = draws[1]
+    longest = max(cli.PRELINDBLAD_LADDER) / wb.kernel.kappa
+    assert samples < math.ceil(longest / cli._oracle_quadrature_dt(wb)) + 1
 
 
 def test_verify_builds_the_jd_observables_once(tmp_path, monkeypatch, capsys):
@@ -781,3 +772,41 @@ def test_failed_run_leaves_earlier_tables_unchanged(tmp_path, monkeypatch):
     assert sorted(os.listdir(out)) == sorted(before)
     for name, data in before.items():
         assert (out / name).read_bytes() == data
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ({"re": [[1.0]]}, "state shape"),
+        ({"re": [[0.5, 0.0], [0.0, 0.5]], "IM": [[0.0, 0.1], [-0.1, 0.0]]}, "unknown key"),
+    ],
+    ids=["shape", "key"],
+)
+def test_a_bad_state_file_fails_before_the_model_is_built(
+    tmp_path, monkeypatch, capsys, command, state, message
+):
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(state), encoding="utf-8")
+    payload = {
+        "model": {"n_sites": 2},
+        "run": {"t_final": 0.1, "dt": 0.01, "initial_state": f"file:{state_path}"},
+    }
+    cfg = _config(tmp_path, payload)
+
+    def built(cfg):
+        raise AssertionError("build_workbench was called")
+
+    monkeypatch.setattr(cli, "build_workbench", built)
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("ERROR ValidationError: run.initial_state: ")
+    assert message in err[0]
+
+
+def test_ground_state_is_resolved_from_the_built_model(tmp_path):
+    payload = _reference_payload()
+    payload["run"]["initial_state"] = "ground"
+    payload["run"]["t_final"] = 0.02
+    assert main(["simulate", "--config", _config(tmp_path, payload)]) == 0

@@ -383,3 +383,36 @@ def test_resolve_state_file_rejects_malformed_content(tmp_path, content, message
     )
     with pytest.raises(ValidationError, match=f"^run.initial_state: .*{message}"):
         resolve_initial_state(cfg, _eig_for(cfg))
+
+
+@pytest.mark.parametrize("key", ["IM", "imag", "rho"])
+def test_resolve_state_file_refuses_unknown_keys(tmp_path, key):
+    """A misspelt "im" would otherwise run as a zero imaginary part."""
+    state_path = tmp_path / "state.json"
+    re = [[0.5, 0.25], [0.25, 0.5]]
+    im = [[0.0, 0.1], [-0.1, 0.0]]
+    state_path.write_text(json.dumps({"re": re, key: im}), encoding="utf-8")
+    cfg = parse_config(
+        _write(
+            tmp_path,
+            {"model": {"n_sites": 2}, "run": {"initial_state": f"file:{state_path}"}},
+        )
+    )
+    with pytest.raises(
+        ValidationError, match=f"^run.initial_state: unknown key '{key}'$"
+    ):
+        resolve_initial_state(cfg, _eig_for(cfg))
+
+
+def test_only_ground_waits_for_the_eigensystem(tmp_path):
+    cfg = parse_config(
+        _write(tmp_path, {"model": {"n_sites": 2}, "run": {"initial_state": "ground"}})
+    )
+    assert resolve_initial_state(cfg) is None
+    for state in ("mixed", "site:1"):
+        cfg = parse_config(
+            _write(tmp_path, {"model": {"n_sites": 2}, "run": {"initial_state": state}})
+        )
+        np.testing.assert_array_equal(
+            resolve_initial_state(cfg), resolve_initial_state(cfg, _eig_for(cfg))
+        )

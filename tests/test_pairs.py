@@ -50,3 +50,43 @@ def test_ties_are_not_wins():
     line = pairs.describe("steady-n8", "wall_s", "s", v)
     assert line.startswith("steady-n8 wall_s: base 2 [2, 2] s, change 2 [2, 2] s;")
     assert "change wins 0/3" in line
+
+
+def test_pairs_take_consecutive_seeds_and_alternate_the_first_side():
+    assert pairs.schedule(0, 3) == [
+        (0, ("base", "change")),
+        (1, ("change", "base")),
+        (2, ("base", "change")),
+    ]
+    # held-out seeds keep the alternation of the pair index
+    held_out = pairs.schedule(100, 64)
+    assert [seed for seed, _ in held_out] == list(range(100, 164))
+    assert held_out[0][1] == ("base", "change") and held_out[1][1] == ("change", "base")
+    # the seeds on which verify fails on every checkout stay out of both
+    # documented schedules
+    for first, count in ((0, 16), (100, 64)):
+        seeds = {seed for seed, _ in pairs.schedule(first, count)}
+        assert not seeds & {16, 34, 164}
+
+
+def test_main_runs_the_pairs_from_the_first_seed(monkeypatch):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    seeds = []
+
+    class Done(Exception):
+        pass
+
+    def fake_run(checkout, seed, seconds):
+        seeds.append(seed)
+        if len(seeds) == 4:  # both sides of both pairs: stop before the verdicts
+            raise Done
+        return {"correct": True, "failed": 0, "attempted": 1}
+
+    monkeypatch.setattr(pairs, "run_side", fake_run)
+    with pytest.raises(Done):
+        pairs.main([root, root, "--pairs", "2", "--first-seed", "7"])
+    assert seeds == [7, 7, 8, 8]
+    seeds.clear()
+    with pytest.raises(Done):
+        pairs.main([root, root, "--pairs", "2"])
+    assert seeds == [0, 0, 1, 1]

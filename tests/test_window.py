@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import lindcur as lc
 from lindcur import lindblad
 from lindcur.current import ORACLE_HORIZON
-from lindcur.reservoir import resolution_bound, sample_kernel
+from lindcur.reservoir import memory_time, resolution_bound, sample_kernel
 
 from conftest import chain_models, interaction_picture_batch, make_bundle, random_density
 
@@ -180,6 +180,92 @@ def test_streamed_pre_lindblad_matches_whole_window(request, short_chunks, case)
     got, want = _pre_lindblad_pair(b, 4.0)
     assert np.max(np.abs(want)) > 0.0
     _assert_agree(got, want, AGREEMENT)
+
+
+def _beyond_memory(b, t, dt):
+    """Assert that the window t on the grid of step dt ends past the
+    kernel's memory time, so that its quadratures take a closed-form tail."""
+    _, ends, n_star, _ = lindblad.sampled_window(b.engine.coupling, b.kernel, t, dt, 0)
+    assert n_star < ends[-1]
+    return n_star
+
+
+def _tabulated_on_grid(t, n=None):
+    """A tabulated kernel whose last sample is the grid point h k of the
+    window t with n steps: g is nonzero there and zero one step later."""
+    if n is None:
+        n = math.ceil(t / 0.004)
+    h = t / n
+    k = round(2.0 / h)
+    tau = np.linspace(0.0, h * k, 401)
+    assert tau[-1] == h * k
+    kernel = lc.Tabulated(times=tau, values=0.1 * np.exp(-(1.5 + 0.4j) * tau))
+    b = make_bundle(4, [0.7, -1.1, 0.4, 0.9], kernel=kernel)
+    dt = t / (n - 0.5)  # n steps of exactly t / n
+    assert dt <= resolution_bound(kernel, b.spectrum)
+    assert sample_kernel(kernel, np.array([h * k]))[0] != 0.0
+    assert _beyond_memory(b, t, dt) == k + 1
+    return b, t, dt
+
+
+def _same_window(b, t):
+    """One window of length t at the resolution bound, for both quadratures."""
+    window = (b, t, resolution_bound(b.kernel, b.spectrum))
+    return window, window
+
+
+# (bundle, window, step) of the oracle and of the map, each window ending
+# past the kernel's memory time
+PAST_MEMORY = {
+    # kappa = 0.5: memory time 73.5, ten times that of the other fixtures
+    "slow_bath": lambda: _same_window(
+        make_bundle(
+            4, [0.7, -1.1, 0.4, 0.9], kernel=lc.Exponential(gamma=0.1, kappa=0.5, omega=0.3)
+        ),
+        80.0,
+    ),
+    "one_bin": lambda: _same_window(_one_bin(), 10.0),
+    "tabulated_on_grid": lambda: (
+        _tabulated_on_grid(_oracle_window(_tabulated_tail())[0]),
+        _tabulated_on_grid(4.0, 1000),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_MEMORY))
+def test_quadratures_past_the_memory_time_match_whole_window(short_chunks, case):
+    """Windows that end past s* sum their tail in closed form; the whole
+    window reference walks every sample."""
+    (b, t, dt), (mb, delta, map_dt) = PAST_MEMORY[case]()
+    _beyond_memory(b, t, dt)
+    rho = random_density(np.random.default_rng(11), 4)
+    args = (b.ops, b.eig, b.spectrum, b.kernel, rho, t, dt)
+    want = reference_oracle(*args)
+    if case != "one_bin":  # else every phase factor is 0
+        assert np.max(np.abs(want)) > 0.0
+    _assert_agree(lc.jd_finite_time_oracle(*args), want, AGREEMENT)
+    _beyond_memory(mb, delta, map_dt)
+    V = mb.engine.coupling
+    got = lc.pre_lindblad_generator(V, mb.kernel, delta, map_dt)
+    _assert_agree(got, reference_pre_lindblad(V, mb.kernel, delta, map_dt), AGREEMENT)
+
+
+def test_a_longer_ladder_draws_no_more_samples(ref4, sample_draws):
+    """Past the memory time a window costs no samples: a ladder four times
+    longer, on the same grid step, draws as many as the short one."""
+    rho = random_density(np.random.default_rng(2), 4)
+    # window lengths and step in powers of two: both ladders have h = dt
+    shortest = 2.0 ** math.ceil(math.log2(_oracle_window(ref4)[0]))
+    dt = 2.0**-8
+    for scale in (1.0, 4.0):
+        lengths = scale * shortest * np.array([1.0, 1.5, 2.0])
+        lc.jd_finite_time_oracle(
+            ref4.ops, ref4.eig, ref4.spectrum, ref4.kernel, rho, lengths, dt
+        )
+        lc.pre_lindblad_generator(ref4.engine.coupling, ref4.kernel, lengths / 4.0, dt)
+    oracle_short, map_short, oracle_long, map_long = (n for _, n in sample_draws)
+    assert oracle_long == oracle_short and map_long == map_short
+    assert oracle_short == math.floor(memory_time(ref4.kernel) / dt) + 2
 
 
 @st.composite
@@ -370,7 +456,7 @@ def test_sampled_window_steps_the_rotating_frame(short_chunks, case):
     V = b.engine.coupling
     freqs = V.spectrum.frequencies
     eps = lindblad._frame_energies(V)
-    _, _, chunks = lindblad.sampled_window(V, b.kernel, 3.0, 0.01, 0)
+    _, _, _, chunks = lindblad.sampled_window(V, b.kernel, 3.0, 0.01, 0)
     walked = 0
     for s, _, phase, u in chunks:
         assert len(s) <= SHORT_CHUNK
